@@ -57,12 +57,7 @@ from .transport import (
     OrbitTransport,
     TransportContext,
     mu,
-    orbit_pullback,
-    orbit_pushforward,
-    pullback,
-    pushforward,
     seed_trajectories,
-    simple_calculus,
 )
 
 __all__ = [
@@ -95,16 +90,11 @@ __all__ = [
     "is_rigid",
     "mu",
     "normalize",
-    "orbit_pullback",
-    "orbit_pushforward",
     "parse_word",
-    "pullback",
-    "pushforward",
     "random_simple",
     "recurrent_representative",
     "rigid_power",
     "seed_trajectories",
-    "simple_calculus",
     "simple_element",
     "stable_exponents",
     "summit_bounds",

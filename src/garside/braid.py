@@ -262,7 +262,3 @@ def random_simple(rng: random.Random, n: int) -> PermSimple:
         rng.shuffle(table)
         if any(table[i] != i for i in range(n)):
             return tuple(table)
-
-
-def element_from_perms(n: int, perms: Iterable[PermSimple], power: int = 0) -> CanonicalElement:
-    return normalize(braid_structure(n), power, perms)

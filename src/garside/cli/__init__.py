@@ -1,13 +1,1 @@
 """Command-line frontend: word commands, random generators, benchmarks."""
-
-from .generators import embed, gen_test1, gen_test2, gen_test3
-from .bench import BenchRow, run_bench
-
-__all__ = [
-    "BenchRow",
-    "embed",
-    "gen_test1",
-    "gen_test2",
-    "gen_test3",
-    "run_bench",
-]

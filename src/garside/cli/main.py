@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from ..braid import WordError, braid_structure, parse_word, word_str
+from ..braid import WordError, parse_word, perm_to_one_indexed, word_str
 from ..core import CanonicalElement
 from ..cycling import cyc, cyc_pq, cyc_q
 from ..rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
@@ -35,13 +35,17 @@ EXIT_BUDGET = 3
 RNG_NAME = "random.Random (Mersenne Twister)"
 
 
+def _factors_payload(x: CanonicalElement) -> list[list[int]]:
+    return [perm_to_one_indexed(f) for f in x.factors]
+
+
 def _element_payload(x: CanonicalElement) -> dict:
     return {
         "inf": x.inf,
         "sup": x.sup,
         "len": x.clen,
         "power": x.power,
-        "factors": [[v + 1 for v in f] for f in x.factors],
+        "factors": _factors_payload(x),
         "word": word_str(x),
     }
 
@@ -75,7 +79,7 @@ def cmd_nf(args) -> int:
     _emit(args, _element_payload(x), [
         f"inf {x.inf}  sup {x.sup}  len {x.clen}",
         f"word: {word_str(x) or '(identity)'}",
-        f"factors: {[[v + 1 for v in f] for f in x.factors]}",
+        f"factors: {_factors_payload(x)}",
     ])
     return EXIT_OK
 
@@ -108,8 +112,15 @@ def cmd_summit(args) -> int:
         x, args.kind,
         budget_ms=args.budget_ms, max_size=args.max_size, exhaustive=args.exhaustive,
     )
-    payload = ss.to_dict()
-    payload["words"] = [word_str(m) for m in ss.members]
+    # sorted members plus (infs, sups, kind): byte-stable
+    payload = {
+        "kind": ss.kind,
+        "infs": ss.infs,
+        "sups": ss.sups,
+        "size": len(ss),
+        "members": [{"power": m.power, "factors": _factors_payload(m)} for m in ss.members],
+        "words": [word_str(m) for m in ss.members],
+    }
     lines = [
         f"{args.kind} summit set: {len(ss)} members, infs {ss.infs}, sups {ss.sups}",
     ]

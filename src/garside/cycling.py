@@ -1,7 +1,7 @@
 """
 cycling: cycling operations of every order, orbit recurrence, trajectories.
 
-The cycling of order q conjugates x by its prefix x /\ D^q.  For q at or
+The cycling of order q conjugates x by its prefix x /\\ D^q.  For q at or
 below inf x this is just tau^q, for q at or above sup x it does nothing,
 and in between it cyclically rotates the normal form:
 
@@ -21,7 +21,7 @@ Everything here is pure and operates on immutable values.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import CanonicalElement, delta_power, identity_element, normalize
 
@@ -193,17 +193,33 @@ class Trajectory:
         return self.witnesses[y]
 
 
-def _closure_trajectory(
-    seed: CanonicalElement,
-    interior_orders: Callable[[CanonicalElement], Iterable[int]],
-) -> Trajectory:
+def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
     """
-    Worklist closure of the tau-orbit of seed under the given cycling
-    orders.  All members must keep the seed's (inf, sup); a drift means the
+    The cycling orders, ascending, at which members of the summit set of
+    the given kind ("super", "ultra" or "star") must be recurrent, read off
+    the bounds of an element y of that set.  Only the orders strictly
+    inside (inf y, sup y) constrain anything: recurrence at the boundary
+    orders holds for free.  Raises ValueError for an unknown kind.
+    """
+    if kind == "star":
+        return list(range(y.inf, y.sup + 1))
+    if kind == "ultra":
+        return sorted({y.inf, min(y.inf + 1, y.sup), y.sup})
+    if kind == "super":
+        return sorted({y.inf, y.sup})
+    raise ValueError(f"unknown summit kind {kind!r}")
+
+
+def _closure_trajectory(seed: CanonicalElement, kind: str) -> Trajectory:
+    """
+    Worklist closure of the tau-orbit of seed under the interior recurrence
+    orders of the given summit kind.  All members must keep the seed's
+    (inf, sup), so the orders are read once off the seed; a drift means the
     seed was not recurrent at some order, which is reported as an error.
     """
     s = seed.struct
     bounds = (seed.inf, seed.sup)
+    interior = [q for q in recurrence_orders(kind, seed) if seed.inf < q < seed.sup]
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     queue: list[CanonicalElement] = []
     cur, w = seed, identity_element(s)
@@ -216,7 +232,7 @@ def _closure_trajectory(
     while queue:
         y = queue.pop()
         wy = witnesses[y]
-        for q in interior_orders(y):
+        for q in interior:
             z, c = cyc_q(y, q)
             if (z.inf, z.sup) != bounds:
                 raise NotRecurrentError(
@@ -236,7 +252,7 @@ def trajectory(x: CanonicalElement) -> Trajectory:
     interior cycling order.  The caller must supply an element recurrent at
     every order (as produced by cstar_representative).
     """
-    return _closure_trajectory(x, lambda y: range(y.inf + 1, y.sup))
+    return _closure_trajectory(x, "star")
 
 
 def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedElement:
@@ -256,13 +272,15 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
         for p in range(m, n + 1):
             if p == 0:
                 continue  # order-(0, q) cycling is tau^q or the identity
-            q = (cur ** p).inf + 1
-            while q < (cur ** p).sup:
-                if q > (cur ** p).inf:
+            xp = cur ** p
+            q = xp.inf + 1
+            while q < xp.sup:
+                if q > xp.inf:
                     rec = closed_orbit(cur, lambda y: cyc_pq(y, p, q))
                     if rec.entry_index:
                         wit = wit * rec.witness
                         cur = rec.recurrent_element
+                        xp = cur ** p
                         changed = True
                 q += 1
         if not changed:

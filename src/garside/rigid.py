@@ -2,7 +2,7 @@
 rigid: rigid elements, stable exponents and rigid-power detection.
 
 An element x of positive canonical length is rigid when its normal form
-survives squaring: x^2 /\ D^{inf x + sup x} = x D^{inf x}.  Cycling acts on
+survives squaring: x^2 /\\ D^{inf x + sup x} = x D^{inf x}.  Cycling acts on
 a rigid element by cyclically permuting its factors (up to tau), so rigid
 elements are recurrent under every double-order cycling, and for rigid x
 the set of conjugates recurrent at every double order is exactly the set
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import CanonicalElement, delta_power
-from .cycling import closed_orbit, cstar_representative, cyc_pq
+from .cycling import closed_orbit, cstar_representative, cyc_pq, in_recurrence_set_pq
 from .summit import SummitSet, summit_bounds, super_summit_set
 
 
@@ -99,11 +99,7 @@ def c_star_star_rigid(x: CanonicalElement) -> SummitSet:
         raise ValueError("input element is not rigid")
     ss = super_summit_set(x)
     qbar = x.inf + x.sup
-    members = tuple(
-        y
-        for y in ss.members
-        if closed_orbit(y, lambda z: cyc_pq(z, 2, qbar)).entry_index == 0
-    )
+    members = tuple(y for y in ss.members if in_recurrence_set_pq(y, 2, qbar))
     witnesses = {y: ss.witnesses[y] for y in members}
     return SummitSet(
         kind="star_star",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .core import CanonicalElement, identity_element, simple_element
 from .cycling import (
@@ -39,10 +39,9 @@ from .cycling import (
     _closure_trajectory,
     cstar_representative,
     in_recurrence_set,
+    recurrence_orders,
 )
 from .transport import _seed_trajectories
-
-KINDS = ("super", "ultra", "star")
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,23 +87,6 @@ class SummitSet:
     def verify_witnesses(self) -> bool:
         return all(self.base.conj(w) == y for y, w in self.witnesses.items())
 
-    def to_dict(self) -> dict:
-        """Serialization: sorted members plus (infs, sups, kind); byte-stable."""
-        return {
-            "kind": self.kind,
-            "infs": self.infs,
-            "sups": self.sups,
-            "size": len(self.members),
-            "members": [_element_dict(m) for m in self.members],
-        }
-
-
-def _element_dict(x: CanonicalElement) -> dict:
-    return {
-        "power": x.power,
-        "factors": [[v + 1 for v in f] for f in x.factors],
-    }
-
 
 @dataclasses.dataclass(frozen=True)
 class ConjugacyAnswer:
@@ -116,28 +98,6 @@ def summit_bounds(x: CanonicalElement) -> tuple[int, int]:
     """(summit inf, summit sup) of the conjugacy class of x."""
     y = cstar_representative(x).element
     return y.inf, y.sup
-
-
-def _recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
-    if kind == "star":
-        return list(range(y.inf, y.sup + 1))
-    if kind == "ultra":
-        return sorted({y.inf, min(y.inf + 1, y.sup), y.sup})
-    if kind == "super":
-        return sorted({y.inf, y.sup})
-    raise ValueError(f"unknown summit kind {kind!r}")
-
-
-def _interior_orders(kind: str) -> Callable[[CanonicalElement], Iterable[int]]:
-    # orders both strictly inside (inf, sup) and demanded by the kind;
-    # recurrence at the boundary orders holds for free.
-    if kind == "star":
-        return lambda y: range(y.inf + 1, y.sup)
-    if kind == "ultra":
-        return lambda y: range(y.inf + 1, min(y.inf + 2, y.sup))
-    if kind == "super":
-        return lambda y: ()
-    raise ValueError(f"unknown summit kind {kind!r}")
 
 
 class _Budget:
@@ -168,7 +128,6 @@ def _summit_closure(
         rep = cstar_representative(x)
     y0, w0 = rep.element, rep.witness
     budget = _Budget(kind, budget_ms, max_size)
-    interior = _interior_orders(kind)
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     trajectories: dict[CanonicalElement, Trajectory] = {}
@@ -183,7 +142,7 @@ def _summit_closure(
             witnesses[member] = conj_to_seed * traj.witness(member)
         queue.append(traj)
 
-    register(_closure_trajectory(y0, interior), w0)
+    register(_closure_trajectory(y0, kind), w0)
 
     while queue:
         budget.count()
@@ -191,12 +150,11 @@ def _summit_closure(
         y = traj.key_element
         wy = witnesses[y]
         if exhaustive:
-            seeds = _exhaustive_seeds(y, kind, interior)
+            seeds = _exhaustive_seeds(y, kind)
+        elif y.clen == 0:
+            seeds = []
         else:
-            if y.clen == 0:
-                seeds = []
-            else:
-                seeds = _seed_trajectories(y, _recurrence_orders(kind, y), interior)
+            seeds = _seed_trajectories(y, kind)
         for conj, traj2 in seeds:
             budget.count()
             register(traj2, wy * conj)
@@ -214,9 +172,7 @@ def _summit_closure(
 
 
 def _exhaustive_seeds(
-    y: CanonicalElement,
-    kind: str,
-    interior: Callable[[CanonicalElement], Iterable[int]],
+    y: CanonicalElement, kind: str
 ) -> list[tuple[CanonicalElement, Trajectory]]:
     """
     Fallback closure step: conjugate by every nontrivial simple element and
@@ -225,6 +181,7 @@ def _exhaustive_seeds(
     the transport-based closure.
     """
     s = y.struct
+    interior = [q for q in recurrence_orders(kind, y) if y.inf < q < y.sup]
     out = []
     for tab in s.all_simples():
         if s.is_identity(tab):
@@ -233,9 +190,9 @@ def _exhaustive_seeds(
         z = y.conj(u)
         if (z.inf, z.sup) != (y.inf, y.sup):
             continue
-        if not all(in_recurrence_set(z, q) for q in interior(z)):
+        if not all(in_recurrence_set(z, q) for q in interior):
             continue
-        out.append((u, _closure_trajectory(z, interior)))
+        out.append((u, _closure_trajectory(z, kind)))
     return out
 
 
@@ -269,11 +226,17 @@ def c_star(
     return _summit_closure(x, "star", budget_ms, max_size, exhaustive, None)
 
 
-def summit_set(x: CanonicalElement, kind: str, **kwargs) -> SummitSet:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return _summit_closure(x, kind, kwargs.get("budget_ms"), kwargs.get("max_size"),
-                           kwargs.get("exhaustive", False), None)
+def summit_set(
+    x: CanonicalElement,
+    kind: str,
+    *,
+    budget_ms: float | None = None,
+    max_size: int | None = None,
+    exhaustive: bool = False,
+) -> SummitSet:
+    """The summit set of the given kind: "super", "ultra" or "star"."""
+    recurrence_orders(kind, x)  # rejects an unknown kind before any work
+    return _summit_closure(x, kind, budget_ms, max_size, exhaustive, None)
 
 
 def decide_conjugacy(

@@ -1,13 +1,13 @@
 """
 transport: carrying conjugators along cycling steps.
 
-For a cycling step x -> cyc_q(x) write x' = x /\ D^q and x'' = x'^{-1} x.
+For a cycling step x -> cyc_q(x) write x' = x /\\ D^q and x'' = x'^{-1} x.
 The pushforward and pullback of a conjugator u along the step are
 
-    phi(u) = x'' u  /\  x'^{-1} D^q tau^q(u)
+    phi(u) = x'' u  /\\  x'^{-1} D^q tau^q(u)
     pi(u)  = D^{inf u}  \\/  x''^{-1} u  \\/  x' D^{-q} tau^{-q}(u)
 
-The pushforward makes the conjugation square commute: x' phi(u) = u (x^u /\ D^q),
+The pushforward makes the conjugation square commute: x' phi(u) = u (x^u /\\ D^q),
 so cyc_q(x)^{phi(u)} = cyc_q(x^u).  The pullback is its order-theoretic
 adjoint.  Both preserve D-powers, preserve divisibility, and keep inf from
 dropping and sup from rising, so iterating either one on arguments of the
@@ -27,7 +27,6 @@ the minimal-conjugator sweep below terminate and be correct.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -37,7 +36,14 @@ from .core import (
     delta_power,
     simple_element,
 )
-from .cycling import NotRecurrentError, Trajectory, closed_orbit, cyc_q, trajectory
+from .cycling import (
+    NotRecurrentError,
+    Trajectory,
+    _closure_trajectory,
+    closed_orbit,
+    cyc_q,
+    recurrence_orders,
+)
 
 
 def _phi_simple(
@@ -47,10 +53,10 @@ def _phi_simple(
     Pushforward of a simple u (u != D) along the order-(p+k) cycling of
     D^p x_1...x_l, evaluated by the two normal-form chains
 
-        a_0 = tau^p(u),  a_i = rc( (x_i /\ a_{i-1})^{-1} x_i )     i = 1..k
-        b_{l+1} = u,     b_i = x_i * ( rc(x_i) /\ b_{i+1} )        i = l..k+1
+        a_0 = tau^p(u),  a_i = rc( (x_i /\\ a_{i-1})^{-1} x_i )     i = 1..k
+        b_{l+1} = u,     b_i = x_i * ( rc(x_i) /\\ b_{i+1} )        i = l..k+1
 
-    whose meet a_k /\ b_{k+1} is the pushforward.
+    whose meet a_k /\\ b_{k+1} is the pushforward.
     """
     a = s.tau_pow(u, p)
     for i in range(k):
@@ -91,49 +97,20 @@ def _pi_simple(
     return s.join(s.tau_pow(v, -p), w)
 
 
-def simple_calculus(
-    x: CanonicalElement, k: int, u: Simple
-) -> tuple[Simple, Simple]:
-    """
-    Pushforward and pullback of the simple u along the order-(inf x + k)
-    cycling of x, both computed purely inside the simple-element lattice.
-    """
-    s = x.struct
-    if not 0 <= k <= x.clen:
-        raise ValueError(f"offset k={k} outside 0..{x.clen}")
-    if s.is_delta(u):
-        raise ValueError("u must be a simple element distinct from Delta")
-    return (
-        _phi_simple(s, x.factors, x.power, k, u),
-        _pi_simple(s, x.factors, x.power, k, u),
-    )
-
-
 class TransportContext:
     """
     A cycling step x -> cyc_q(x) prepared for transporting conjugators of
     the shape D^m * simple.  Immutable once built; safe to share.
+
+    For q in [inf x, sup x] both maps run the factor chains on the normal
+    form of x; push also accepts orders outside that range, where the step
+    is tau^q or trivial, and evaluates the defining formula directly.
     """
 
     def __init__(self, x: CanonicalElement, q: int):
         self.x = x
         self.q = q
         self.struct = x.struct
-
-    @functools.cached_property
-    def x_prime(self) -> CanonicalElement:
-        return self.x.meet_delta(self.q)
-
-    @functools.cached_property
-    def x_dprime(self) -> CanonicalElement:
-        return self.x_prime.inv() * self.x
-
-    @functools.cached_property
-    def orbit_length(self) -> int:
-        rec = closed_orbit(self.x, lambda y: cyc_q(y, self.q))
-        if rec.entry_index:
-            raise NotRecurrentError(f"element is not order-{self.q} recurrent")
-        return rec.orbit_length
 
     def _shifted_factors(self, m: int) -> tuple[Simple, ...]:
         s = self.struct
@@ -148,10 +125,10 @@ class TransportContext:
 
     def push(self, u: CanonicalElement) -> CanonicalElement:
         s, x, q = self.struct, self.x, self.q
-        if q <= x.inf:
+        if q < x.inf:
             # x /\ D^q = D^q, so phi(u) = D^{-q} u (x^u /\ D^q)
             return delta_power(s, -q) * u * x.conj(u).meet_delta(q)
-        if q >= x.sup:
+        if q > x.sup:
             # the step is trivial and phi(u) = x^{-1} u (x^u /\ D^q)
             return x.inv() * u * x.conj(u).meet_delta(q)
         m, su = self._split(u)
@@ -167,14 +144,6 @@ class TransportContext:
         m, su = self._split(u)
         pi = _pi_simple(s, self._shifted_factors(m), x.power, q - x.power, su)
         return simple_element(s, pi, m)
-
-
-def pushforward(ctx: TransportContext, u: CanonicalElement) -> CanonicalElement:
-    return ctx.push(u)
-
-
-def pullback(ctx: TransportContext, u: CanonicalElement) -> CanonicalElement:
-    return ctx.pull(u)
 
 
 class OrbitTransport:
@@ -206,14 +175,6 @@ class OrbitTransport:
         return u
 
 
-def orbit_pushforward(x: CanonicalElement, q: int, u: CanonicalElement) -> CanonicalElement:
-    return OrbitTransport(x, q).push_around(u)
-
-
-def orbit_pullback(x: CanonicalElement, q: int, u: CanonicalElement) -> CanonicalElement:
-    return OrbitTransport(x, q).pull_around(u)
-
-
 Probe = Callable[[CanonicalElement], None]
 
 
@@ -231,7 +192,10 @@ def minimal_recurrent_conjugator(
     Two sweeps: ascending through the orders, iterate the orbit pullback to
     its first revisited value; then descending, iterate the orbit
     pushforward until it both revisits a value and dominates the ascending
-    stage's input.  The optional probe sees every intermediate iterate.
+    stage's input.  Once the pushforward iterates come back to their first
+    revisited value they have run through their whole period, so a sweep
+    that has not found a dominating iterate by then never will.  The
+    optional probe sees every intermediate iterate.
     """
     qs = sorted(set(orders))
     transports = [OrbitTransport(x, q) for q in qs]
@@ -249,19 +213,20 @@ def minimal_recurrent_conjugator(
             seen.add(cur)
     for ot, entering in zip(reversed(transports), reversed(stage_inputs)):
         seen = {cur}
-        revisited = False
-        for _ in range(100000):
+        first_revisit = None
+        while True:
             cur = ot.push_around(cur)
             if probe is not None:
                 probe(cur)
-            if cur in seen:
-                revisited = True
-            else:
-                seen.add(cur)
-            if revisited and entering.divides(cur):
+            if first_revisit is None:
+                if cur not in seen:
+                    seen.add(cur)
+                    continue
+                first_revisit = cur
+            elif cur == first_revisit:
+                raise RuntimeError("pushforward sweep failed to dominate its input")
+            if entering.divides(cur):
                 break
-        else:
-            raise RuntimeError("pushforward sweep failed to dominate its input")
     return cur
 
 
@@ -270,7 +235,7 @@ def mu(x: CanonicalElement, u: CanonicalElement) -> CanonicalElement:
     The minimal v above u conjugating x into the refined summit set of x
     (x must be recurrent at every order, as from cstar_representative).
     """
-    return minimal_recurrent_conjugator(x, u, range(x.inf, x.sup + 1))
+    return minimal_recurrent_conjugator(x, u, recurrence_orders("star", x))
 
 
 class _Excluded(Exception):
@@ -278,23 +243,20 @@ class _Excluded(Exception):
 
 
 def _seed_trajectories(
-    x: CanonicalElement,
-    orders: Sequence[int],
-    interior_orders: Callable[[CanonicalElement], Iterable[int]],
+    x: CanonicalElement, kind: str
 ) -> list[tuple[CanonicalElement, Trajectory]]:
     """
-    Shared engine behind seed_trajectories, parameterized by the recurrence
-    orders so the summit closures can reuse it.  Returns (conjugator,
-    trajectory-of-x^conjugator) pairs covering every minimal-conjugator
-    successor trajectory of x.
+    Shared engine behind seed_trajectories and the summit closures of every
+    kind.  Returns (conjugator, trajectory-of-x^conjugator) pairs covering
+    every minimal-conjugator successor trajectory of x inside the summit
+    set of the given kind.
 
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
     atoms' trajectories cover the dropped ones.
     """
-    from .cycling import _closure_trajectory
-
     s = x.struct
+    orders = recurrence_orders(kind, x)
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, Trajectory]] = []
@@ -318,7 +280,7 @@ def _seed_trajectories(
         except _Excluded:
             live.discard(idx)
             continue
-        out.append((v, _closure_trajectory(x.conj(v), interior_orders)))
+        out.append((v, _closure_trajectory(x.conj(v), kind)))
     return out
 
 
@@ -330,8 +292,4 @@ def seed_trajectories(x: CanonicalElement) -> list[tuple[CanonicalElement, Traje
     covers every trajectory reachable from x by a minimal simple-element
     conjugation, and is bounded in size by the number of atoms.
     """
-    return _seed_trajectories(
-        x,
-        range(x.inf, x.sup + 1),
-        lambda y: range(y.inf + 1, y.sup),
-    )
+    return _seed_trajectories(x, "star")

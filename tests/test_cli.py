@@ -1,5 +1,6 @@
 """The command-line frontend: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,30 @@ def test_summit_command():
     assert out["size"] == 2 and out["kind"] == "star"
     assert (out["infs"], out["sups"]) == (0, 2)
     assert sorted(out["words"]) == ["1 1", "2 2"]
+
+
+def test_summit_json_golden_bytes():
+    r = run_cli("summit", "--kind", "star", "--n", "3", "1 1", "--json")
+    assert r.stdout == (
+        '{"infs":0,"kind":"star","members":[{"factors":[[1,3,2],[1,3,2]],"power":0},'
+        '{"factors":[[2,1,3],[2,1,3]],"power":0}],"size":2,"sups":2,"words":["2 2","1 1"]}\n'
+    )
+    r = run_cli("summit", "--kind", "ultra", "--n", "4", "1 2 3 1", "--json")
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "3f547ecd63943d4e6d66b80e344da1abed185876b19c5f5abca0078dab899819"
+    )
+
+
+def test_serialization_sorted_and_stable():
+    argv = ("summit", "--kind", "star", "--n", "3", "1 1", "--json")
+    d1 = json.loads(run_cli(*argv).stdout)
+    d2 = json.loads(run_cli(*argv).stdout)
+    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    assert d1["kind"] == "star"
+    assert (d1["infs"], d1["sups"]) == (0, 2)
+    members = d1["members"]
+    assert members == sorted(members, key=lambda m: (m["power"], m["factors"]))
+    assert {tuple(map(tuple, m["factors"])) for m in members} == {((2, 1, 3), (2, 1, 3)), ((1, 3, 2), (1, 3, 2))}
 
 
 def test_conj_command_exit_codes():

@@ -1,6 +1,5 @@
 """Summit sets of all three kinds, conjugacy decisions, budgets."""
 
-import json
 import random
 
 import pytest
@@ -224,21 +223,17 @@ def test_budget_and_size_guards():
         assert e.size > 0
 
 
-def test_serialization_sorted_and_stable(rng):
-    x = parse_word("1 1", 3)
-    d1 = c_star(x).to_dict()
-    d2 = c_star(x).to_dict()
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    assert d1["kind"] == "star"
-    assert (d1["infs"], d1["sups"]) == (0, 2)
-    members = d1["members"]
-    assert members == sorted(members, key=lambda m: (m["power"], m["factors"]))
-    assert {tuple(map(tuple, m["factors"])) for m in members} == {((2, 1, 3), (2, 1, 3)), ((1, 3, 2), (1, 3, 2))}
-
-
 def test_summit_set_kind_validation():
     with pytest.raises(ValueError):
         summit_set(parse_word("1", 3), "mega")
+
+
+def test_summit_set_rejects_misspelt_keywords():
+    x = parse_word("1 1", 3)
+    with pytest.raises(TypeError):
+        summit_set(x, "star", budgetms=0.0)
+    with pytest.raises(TypeError):
+        summit_set(x, "star", max_sise=0)
 
 
 def test_structure_mismatch_rejected():

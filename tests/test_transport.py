@@ -1,4 +1,4 @@
-"""Pushforward/pullback identities, simple-element calculus, minimal conjugators."""
+"""Pushforward/pullback identities, the factor-chain calculus, minimal conjugators."""
 
 import itertools
 import random
@@ -12,12 +12,7 @@ from garside.transport import (
     OrbitTransport,
     TransportContext,
     mu,
-    orbit_pullback,
-    orbit_pushforward,
-    pullback,
-    pushforward,
     seed_trajectories,
-    simple_calculus,
 )
 
 from conftest import random_element
@@ -153,59 +148,36 @@ def test_low_order_dominance(rng):
 
 
 def test_recursion_matches_definitional(rng):
-    # the factor-chain evaluation equals the defining formulas exactly
+    # the factor-chain evaluation equals the defining formulas exactly, at
+    # every order from inf x to sup x and for D^m * simple arguments
     checked = 0
     while checked < 500:
         n = rng.choice([3, 4])
         st = braid_structure(n)
         x = random_element(rng, n, max_len=4, min_len=1, min_power=-1, max_power=1)
-        if x.clen == 0:
-            continue
-        k = rng.randint(0, x.clen)
-        u = random_simple(rng, n)
-        if st.is_delta(u):
-            u = st.atoms[0]
-        phi, pi = simple_calculus(x, k, u)
-        q = x.inf + k
-        ue = simple_element(st, u)
-        assert simple_element(st, phi) == phi_definitional(x, q, ue), (x, k, u)
-        assert simple_element(st, pi) == pi_definitional(x, q, ue), (x, k, u)
-        checked += 1
+        u = simple_element(st, random_simple(rng, n), rng.choice([-1, 0, 1]))
+        for k in range(x.clen + 1):
+            ctx = TransportContext(x, x.inf + k)
+            assert ctx.push(u) == phi_definitional(x, ctx.q, u), (x, k, u)
+            assert ctx.pull(u) == pi_definitional(x, ctx.q, u), (x, k, u)
+            checked += 1
 
 
-def test_simple_calculus_validation():
+def test_transport_argument_validation():
     st = braid_structure(3)
     x = parse_word("1 1", 3)
     with pytest.raises(ValueError):
-        simple_calculus(x, 3, st.atoms[0])
+        TransportContext(x, x.inf + 3).pull(simple_element(st, st.atoms[0]))
     with pytest.raises(ValueError):
-        simple_calculus(x, 0, st.delta)
-    phi, _ = simple_calculus(x, 1, st.identity)
-    assert phi == st.identity
-
-
-def test_context_fields(rng):
-    for st, x, q, _ in _instances(rng, 100):
-        ctx = TransportContext(x, q)
-        assert ctx.x_prime == x.meet_delta(q)
-        assert ctx.x_prime * ctx.x_dprime == x
-
-
-def test_module_level_wrappers(rng):
-    st = braid_structure(3)
-    x = parse_word("1 1", 3)
-    ctx = TransportContext(x, 1)
-    u = simple_element(st, st.atoms[1])
-    assert pushforward(ctx, u) == ctx.push(u)
-    assert pullback(ctx, u) == ctx.pull(u)
+        TransportContext(x, 1).push(x)  # canonical length 2
+    ident = identity_element(st)
+    assert TransportContext(x, 1).push(ident) == ident
 
 
 def test_orbit_transport_requires_recurrence():
     x = parse_word("2 1 1", 3)  # not order-1 recurrent
     with pytest.raises(NotRecurrentError):
         OrbitTransport(x, 1)
-    with pytest.raises(NotRecurrentError):
-        orbit_pushforward(x, 1, identity_element(x.struct))
 
 
 def test_orbit_transport_delta_powers(rng):
@@ -214,8 +186,9 @@ def test_orbit_transport_delta_powers(rng):
         st = x.struct
         q = rng.randint(x.inf, x.sup)
         d = delta_power(st, rng.randint(-2, 2))
-        assert orbit_pushforward(x, q, d) == d
-        assert orbit_pullback(x, q, d) == d
+        ot = OrbitTransport(x, q)
+        assert ot.push_around(d) == d
+        assert ot.pull_around(d) == d
 
 
 def test_orbit_push_recurrence_characterization(rng):
