@@ -69,7 +69,9 @@ def run_bench(
     Benchmark one (test, n, l) cell: per-kind mean/max summit-set sizes and
     times over `samples` random braids.  `repeats` > 1 times each
     computation that many times and records the median (sizes are computed
-    once; only the clock is repeated).
+    once; only the clock is repeated).  Every run after the first finds the
+    structure's meet/join memo warm from the runs before it, so the median
+    of several repeats times the memoised kernel, not a cold start.
     """
     if test not in GENERATORS:
         raise ValueError("test must be 1, 2 or 3")

@@ -270,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="ultra,star",
                    help="comma-separated summit kinds to benchmark")
     p.add_argument("--repeats", type=int, default=1,
-                   help="time each sample this many times and keep the median")
+                   help="time each sample this many times and keep the median; "
+                        "runs after the first reuse the warm meet/join memo")
     p.set_defaults(fn=cmd_bench, max_size=DEFAULT_MAX_SIZE)
 
     return top

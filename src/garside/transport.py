@@ -27,7 +27,7 @@ the minimal-conjugator sweep below terminate and be correct.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CanonicalElement,
@@ -160,10 +160,6 @@ class OrbitTransport:
         self.q = q
         self.contexts = tuple(TransportContext(y, q) for y in rec.elements)
 
-    @property
-    def orbit_length(self) -> int:
-        return len(self.contexts)
-
     def push_around(self, u: CanonicalElement) -> CanonicalElement:
         for ctx in self.contexts:
             u = ctx.push(u)
@@ -179,15 +175,16 @@ Probe = Callable[[CanonicalElement], None]
 
 
 def minimal_recurrent_conjugator(
-    x: CanonicalElement,
+    transports: Sequence[OrbitTransport],
     u: CanonicalElement,
-    orders: Iterable[int],
     probe: Probe | None = None,
 ) -> CanonicalElement:
     """
     The minimal v with u dividing v such that x^v is recurrent at every
-    order in `orders` (x itself must already be recurrent at those orders;
-    u must have canonical length <= 1).
+    order q of the transports, which are the orbit transports of one x in
+    ascending order (u must have canonical length <= 1).  Building them is
+    the costly part, so a caller minimising several u around the same x
+    builds them once and passes the same list each time.
 
     Two sweeps: ascending through the orders, iterate the orbit pullback to
     its first revisited value; then descending, iterate the orbit
@@ -197,8 +194,6 @@ def minimal_recurrent_conjugator(
     that has not found a dominating iterate by then never will.  The
     optional probe sees every intermediate iterate.
     """
-    qs = sorted(set(orders))
-    transports = [OrbitTransport(x, q) for q in qs]
     stage_inputs: list[CanonicalElement] = []
     cur = u
     for ot in transports:
@@ -230,12 +225,17 @@ def minimal_recurrent_conjugator(
     return cur
 
 
+def _orbit_transports(x: CanonicalElement, kind: str) -> list[OrbitTransport]:
+    """The orbit transports of x at its recurrence orders of the kind, ascending."""
+    return [OrbitTransport(x, q) for q in sorted(set(recurrence_orders(kind, x)))]
+
+
 def mu(x: CanonicalElement, u: CanonicalElement) -> CanonicalElement:
     """
     The minimal v above u conjugating x into the refined summit set of x
     (x must be recurrent at every order, as from cstar_representative).
     """
-    return minimal_recurrent_conjugator(x, u, recurrence_orders("star", x))
+    return minimal_recurrent_conjugator(_orbit_transports(x, "star"), u)
 
 
 class _Excluded(Exception):
@@ -256,7 +256,7 @@ def _seed_trajectories(
     atoms' trajectories cover the dropped ones.
     """
     s = x.struct
-    orders = recurrence_orders(kind, x)
+    transports = _orbit_transports(x, kind)
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, Trajectory]] = []
@@ -276,7 +276,7 @@ def _seed_trajectories(
                     raise _Excluded
 
         try:
-            v = minimal_recurrent_conjugator(x, simple_element(s, atom), orders, probe)
+            v = minimal_recurrent_conjugator(transports, simple_element(s, atom), probe)
         except _Excluded:
             live.discard(idx)
             continue

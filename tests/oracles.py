@@ -96,6 +96,44 @@ def pi_definitional(x: CanonicalElement, q: int, u: CanonicalElement) -> Canonic
     )
 
 
+def sweep_meet(a: tuple, b: tuple) -> tuple:
+    """
+    Left gcd of two permutation tables by the greedy common-descent sweep,
+    without any memo or shortcut: the reference for the lattice kernel.
+    """
+    n = len(a)
+    va, vb = list(a), list(b)
+    minv = list(range(n))  # inverse of the meet built so far
+    todo = [
+        k
+        for k in range(n - 1)
+        if va[k] > va[k + 1] and vb[k] > vb[k + 1]
+    ]
+    while todo:
+        k = todo.pop()
+        if va[k] > va[k + 1] and vb[k] > vb[k + 1]:
+            va[k], va[k + 1] = va[k + 1], va[k]
+            vb[k], vb[k + 1] = vb[k + 1], vb[k]
+            minv[k], minv[k + 1] = minv[k + 1], minv[k]
+            if k > 0:
+                todo.append(k - 1)
+            if k < n - 2:
+                todo.append(k + 1)
+    out = [0] * n
+    for i, v in enumerate(minv):
+        out[v] = i
+    return tuple(out)
+
+
+def sweep_join(a: tuple, b: tuple) -> tuple:
+    """Left lcm of two permutation tables through the sweep meet."""
+    # w0 o p complements the inversion set, turning joins into meets.
+    m = len(a) - 1
+    ca = tuple(m - v for v in a)
+    cb = tuple(m - v for v in b)
+    return tuple(m - v for v in sweep_meet(ca, cb))
+
+
 def nontrivial_simples(st: BraidStructure):
     for tab in itertools.permutations(range(st.n)):
         if not st.is_identity(tab):

@@ -3,10 +3,16 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from garside import braid
 from garside.braid import (
+    BraidStructure,
     WordError,
     braid_structure,
     parse_word,
@@ -18,7 +24,7 @@ from garside.braid import (
 from garside.core import delta_power, normalize, simple_element
 
 from conftest import random_element
-from oracles import nontrivial_simples
+from oracles import nontrivial_simples, sweep_join, sweep_meet
 
 
 def all_simples(n):
@@ -68,6 +74,110 @@ def test_lattice_laws_exhaustive(n):
         a, b, c = (random_simple(rng, n) for _ in range(3))
         assert st.meet(st.meet(a, b), c) == st.meet(a, st.meet(b, c))
         assert st.join(st.join(a, b), c) == st.join(a, st.join(b, c))
+
+
+@hs.composite
+def lattice_arguments(draw):
+    """A structure and two simples, weighted towards the memo's shortcuts."""
+    n = draw(hs.integers(2, 40))
+    st = braid_structure(n)
+    perm = hs.permutations(range(n)).map(tuple)
+    special = hs.sampled_from([st.identity, st.delta])
+    a = draw(hs.one_of(special, perm))
+    shape = draw(hs.sampled_from(["any", "equal", "divisor", "multiple"]))
+    if shape == "equal":
+        b = a
+    elif shape == "divisor":
+        b = sweep_meet(a, draw(perm))
+    elif shape == "multiple":
+        b = sweep_join(a, draw(perm))
+    else:
+        b = draw(hs.one_of(special, perm))
+    if draw(hs.booleans()):
+        a, b = b, a
+    return st, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_arguments())
+def test_meet_join_match_sweep_oracle(args):
+    st, a, b = args
+    m, j = sweep_meet(a, b), sweep_join(a, b)
+    for _ in range(2):  # a miss, then a memo hit
+        assert st.meet(a, b) == m
+        assert st.join(a, b) == j
+
+
+def _drive_kernel(st, pairs):
+    for a, b in pairs:
+        st.meet(a, b)
+        st.join(a, b)
+        st.inverse_table(a)
+        st.right_complement(a)
+        st.tau(a)
+        st.norm(a)
+
+
+def _assert_caches_bounded(st):
+    caches = [v for v in vars(st).values() if isinstance(v, dict)]
+    assert all(len(c) <= braid._CACHE_CAP for c in caches)
+
+
+def _assert_kernel_matches(st, pairs):
+    n = st.n
+    for a, b in pairs:
+        assert st.meet(a, b) == sweep_meet(a, b)
+        assert st.join(a, b) == sweep_join(a, b)
+        assert st.mul(a, st.inverse_table(a)) == st.identity
+        assert st.mul(a, st.right_complement(a)) == st.delta
+        assert st.tau(a) == tuple(n - 1 - a[n - 1 - i] for i in range(n))
+        assert st.norm(a) == sum(a[i] > a[j] for i in range(n) for j in range(i + 1, n))
+
+
+def test_caches_bounded_and_correct_after_clear():
+    st = BraidStructure(8)  # not the interned structure: caches start empty
+    rng = random.Random(12)
+    pairs = [(random_simple(rng, 8), random_simple(rng, 8))
+             for _ in range(braid._CACHE_CAP + 700)]
+    for k in range(0, len(pairs), 100):
+        _drive_kernel(st, pairs[k:k + 100])
+        _assert_caches_bounded(st)
+    # more distinct calls than the cap went in, so the tables were cleared
+    assert len(st._meet_cache) < len(set(pairs))
+    _assert_kernel_matches(st, pairs[:400] + pairs[-400:])
+    _assert_caches_bounded(st)
+
+
+def test_caches_shared_between_threads():
+    # structures are shared freely, so racing memo clears may only cost
+    # recomputation: every thread still sees oracle answers
+    st = BraidStructure(7)
+    rng = random.Random(13)
+    pairs = [(random_simple(rng, 7), random_simple(rng, 7))
+             for _ in range(braid._CACHE_CAP + 500)]
+    errors = []
+
+    def work(offset):
+        try:
+            chunk = pairs[offset:] + pairs[:offset]
+            _drive_kernel(st, chunk)
+            _assert_kernel_matches(st, chunk[::5])
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 300,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    _assert_caches_bounded(st)
 
 
 def test_meet_examples():

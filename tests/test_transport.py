@@ -7,10 +7,16 @@ import pytest
 
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
-from garside.cycling import NotRecurrentError, cstar_representative, in_recurrence_set
+from garside.cycling import (
+    NotRecurrentError,
+    cstar_representative,
+    in_recurrence_set,
+    recurrence_orders,
+)
 from garside.transport import (
     OrbitTransport,
     TransportContext,
+    minimal_recurrent_conjugator,
     mu,
     seed_trajectories,
 )
@@ -286,6 +292,27 @@ def test_mu_trivial_cases(rng):
         # if x^u is already everywhere-recurrent with summit bounds, mu(u) = u
         u = delta_power(st, rng.randint(-1, 1))
         assert mu(x, u) == u
+
+
+def test_shared_orbit_transports_match_fresh(rng):
+    # a seed step minimises every atom against one shared transport list;
+    # each answer must equal the one from a freshly built list
+    checked = 0
+    while checked < 16:
+        n = rng.choice([3, 4, 5, 6])
+        st = braid_structure(n)
+        x = cstar_representative(random_element(rng, n, max_len=3)).element
+        if x.clen == 0:
+            continue
+        for kind in ("ultra", "star"):
+            orders = sorted(set(recurrence_orders(kind, x)))
+            shared = [OrbitTransport(x, q) for q in orders]
+            for atom in st.atoms:
+                u = simple_element(st, atom)
+                fresh = [OrbitTransport(x, q) for q in orders]
+                assert minimal_recurrent_conjugator(shared, u) == \
+                    minimal_recurrent_conjugator(fresh, u), (x, kind, atom)
+        checked += 1
 
 
 def test_seed_trajectories_on_delta_powers():
