@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import CanonicalElement, GarsideStructure, normalize
 
@@ -212,13 +212,6 @@ class BraidStructure(GarsideStructure):
         """Whether the atom s_{k+1} left-divides the simple a."""
         return a[k] > a[k + 1]
 
-    def all_simples(self) -> Iterable[PermSimple]:
-        if self.n > 7:
-            raise ValueError(f"refusing to enumerate {self.n}! simple elements")
-        import itertools
-
-        return itertools.permutations(range(self.n))
-
     # -- conversions -------------------------------------------------------
 
     def reduced_word(self, a: PermSimple) -> list[int]:
@@ -249,13 +242,6 @@ def braid_structure(n: int) -> BraidStructure:
 
 def perm_to_one_indexed(a: PermSimple) -> list[int]:
     return [v + 1 for v in a]
-
-
-def perm_from_one_indexed(images: Iterable[int], n: int) -> PermSimple:
-    table = tuple(v - 1 for v in images)
-    if sorted(table) != list(range(n)):
-        raise ValueError(f"not a permutation of 1..{n}: {list(images)}")
-    return table
 
 
 class WordError(ValueError):

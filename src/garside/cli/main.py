@@ -108,10 +108,7 @@ def cmd_cyc(args) -> int:
 
 def cmd_summit(args) -> int:
     x = _parse(args, args.word)
-    ss = summit_set(
-        x, args.kind,
-        budget_ms=args.budget_ms, max_size=args.max_size, exhaustive=args.exhaustive,
-    )
+    ss = summit_set(x, args.kind, budget_ms=args.budget_ms, max_size=args.max_size)
     # sorted members plus (infs, sups, kind): byte-stable
     payload = {
         "kind": ss.kind,
@@ -237,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summit", parents=[common], help="summit-set computation")
     p.add_argument("--kind", choices=("super", "ultra", "star"), default="star")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="cross-validation mode: conjugate by every simple element")
     p.add_argument("word")
     p.set_defaults(fn=cmd_summit)
 

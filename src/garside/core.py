@@ -93,10 +93,6 @@ class GarsideStructure(abc.ABC):
         """Whether the k-th atom left-divides the simple a."""
         return self.simple_divides(self.atoms[k], a)
 
-    def all_simples(self) -> Iterable[Simple]:
-        """Enumerate every simple element; only feasible for small lattices."""
-        raise NotImplementedError("this structure cannot enumerate its simples")
-
 
 @dataclasses.dataclass(frozen=True)
 class CanonicalElement:
@@ -144,19 +140,18 @@ class CanonicalElement:
         if self.struct != other.struct:
             raise ValueError("elements belong to different structures")
         s = self.struct
-        shifted = tuple(s.tau_pow(f, other.power) for f in self.factors)
-        dp, factors = _mul_weighted(s, shifted, other.factors)
+        dp, factors = _mul_weighted(s, self.tau_pow(other.power).factors, other.factors)
         return CanonicalElement(s, self.power + other.power + dp, factors)
 
     def inv(self) -> "CanonicalElement":
         # (D^p x_1...x_l)^{-1} = rc(x_l) tau(rc(x_{l-1})) ... tau^{l-1}(rc(x_1)) D^{-l-p}
         # and the resulting word is already left-weighted; normalizing is a
-        # cheap no-op pass kept for safety.
+        # cheap no-op pass kept for safety.  Moving D^{-l-p} to the front
+        # applies tau^q to every letter, so letter i takes tau^{i+q} in all.
         s = self.struct
         p, fs = self.power, self.factors
-        word = [s.tau_pow(s.right_complement(fs[-1 - i]), i) for i in range(len(fs))]
         q = -(p + len(fs))
-        word = [s.tau_pow(w, q) for w in word]
+        word = [s.tau_pow(s.right_complement(fs[-1 - i]), i + q) for i in range(len(fs))]
         return normalize(s, q, word)
 
     def __pow__(self, exp: int) -> "CanonicalElement":
@@ -178,6 +173,8 @@ class CanonicalElement:
     def tau_pow(self, k: int) -> "CanonicalElement":
         """D^{-k} * self * D^k: factor-wise tau^k with the power unchanged."""
         s = self.struct
+        if k % s.order_of_tau == 0:
+            return self
         return CanonicalElement(s, self.power, tuple(s.tau_pow(f, k) for f in self.factors))
 
     def meet_delta(self, q: int) -> "CanonicalElement":

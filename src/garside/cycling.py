@@ -44,7 +44,7 @@ def cyc_q(x: CanonicalElement, q: int) -> tuple[CanonicalElement, CanonicalEleme
     k = q - x.power
     fs = x.factors
     conj = CanonicalElement(s, x.power, fs[:k])
-    word = [s.tau_pow(f, x.power) for f in fs[k:]]
+    word = list(x.tau_pow(x.power).factors[k:])
     word.extend(fs[:k])
     return normalize(s, x.power, word), conj
 

@@ -19,8 +19,9 @@ specializes to the classical algorithms for those sets.
 
 Budget guards (wall clock and set size) let callers abort computations that
 explode, which reducible braids routinely make the ultra summit set do.
-An exhaustive mode that conjugates by every simple element cross-validates
-the transport-based closure at small strand counts.
+The closure builds each trajectory once, when it first reaches one of its
+members.  The reference it is checked against is the definitional search
+over every simple conjugator in tests/oracles.py.
 
 Every member of every set carries a verified conjugator from the base
 element, and the conjugacy decision returns such a witness.
@@ -32,13 +33,12 @@ import dataclasses
 import time
 from typing import Mapping
 
-from .core import CanonicalElement, identity_element, simple_element
+from .core import CanonicalElement
 from .cycling import (
     Trajectory,
     WitnessedElement,
     _closure_trajectory,
     cstar_representative,
-    in_recurrence_set,
     recurrence_orders,
 )
 from .transport import _seed_trajectories
@@ -121,7 +121,6 @@ def _summit_closure(
     kind: str,
     budget_ms: float | None,
     max_size: int | None,
-    exhaustive: bool,
     rep: WitnessedElement | None,
 ) -> SummitSet:
     if rep is None:
@@ -130,34 +129,30 @@ def _summit_closure(
     budget = _Budget(kind, budget_ms, max_size)
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
-    trajectories: dict[CanonicalElement, Trajectory] = {}
-    queue: list[Trajectory] = []
+    trajectories: list[Trajectory] = []
+    queue: list[CanonicalElement] = []
 
-    def register(traj: Trajectory, conj_to_seed: CanonicalElement) -> None:
-        if traj.key_element in trajectories:
+    def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:
+        # trajectories partition the set, so a known z means a known trajectory
+        if z in witnesses:
             return
-        trajectories[traj.key_element] = traj
+        traj = _closure_trajectory(z, kind)
+        trajectories.append(traj)
         budget.count(len(traj))
         for member in traj.members:
-            witnesses[member] = conj_to_seed * traj.witness(member)
-        queue.append(traj)
+            witnesses[member] = conj_to_z * traj.witness(member)
+        queue.append(traj.key_element)
 
-    register(_closure_trajectory(y0, kind), w0)
-
+    register(y0, w0)
     while queue:
         budget.count()
-        traj = queue.pop()
-        y = traj.key_element
+        y = queue.pop()
+        if y.clen == 0:
+            continue
         wy = witnesses[y]
-        if exhaustive:
-            seeds = _exhaustive_seeds(y, kind)
-        elif y.clen == 0:
-            seeds = []
-        else:
-            seeds = _seed_trajectories(y, kind)
-        for conj, traj2 in seeds:
+        for conj, z in _seed_trajectories(y, kind):
             budget.count()
-            register(traj2, wy * conj)
+            register(z, wy * conj)
 
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
     return SummitSet(
@@ -167,63 +162,8 @@ def _summit_closure(
         witnesses=witnesses,
         infs=y0.inf,
         sups=y0.sup,
-        trajectories=tuple(trajectories.values()) if kind == "star" else None,
+        trajectories=tuple(trajectories) if kind == "star" else None,
     )
-
-
-def _exhaustive_seeds(
-    y: CanonicalElement, kind: str
-) -> list[tuple[CanonicalElement, Trajectory]]:
-    """
-    Fallback closure step: conjugate by every nontrivial simple element and
-    keep the results that stay in the set.  Only feasible when the simple
-    elements can be enumerated (small strand counts); used to cross-check
-    the transport-based closure.
-    """
-    s = y.struct
-    interior = [q for q in recurrence_orders(kind, y) if y.inf < q < y.sup]
-    out = []
-    for tab in s.all_simples():
-        if s.is_identity(tab):
-            continue
-        u = simple_element(s, tab)
-        z = y.conj(u)
-        if (z.inf, z.sup) != (y.inf, y.sup):
-            continue
-        if not all(in_recurrence_set(z, q) for q in interior):
-            continue
-        out.append((u, _closure_trajectory(z, kind)))
-    return out
-
-
-def super_summit_set(
-    x: CanonicalElement,
-    budget_ms: float | None = None,
-    max_size: int | None = None,
-    exhaustive: bool = False,
-) -> SummitSet:
-    """All conjugates attaining the summit inf and sup."""
-    return _summit_closure(x, "super", budget_ms, max_size, exhaustive, None)
-
-
-def ultra_summit_set(
-    x: CanonicalElement,
-    budget_ms: float | None = None,
-    max_size: int | None = None,
-    exhaustive: bool = False,
-) -> SummitSet:
-    """The cycling-recurrent part of the super summit set."""
-    return _summit_closure(x, "ultra", budget_ms, max_size, exhaustive, None)
-
-
-def c_star(
-    x: CanonicalElement,
-    budget_ms: float | None = None,
-    max_size: int | None = None,
-    exhaustive: bool = False,
-) -> SummitSet:
-    """The refined summit set: conjugates recurrent at every order."""
-    return _summit_closure(x, "star", budget_ms, max_size, exhaustive, None)
 
 
 def summit_set(
@@ -232,11 +172,25 @@ def summit_set(
     *,
     budget_ms: float | None = None,
     max_size: int | None = None,
-    exhaustive: bool = False,
 ) -> SummitSet:
     """The summit set of the given kind: "super", "ultra" or "star"."""
     recurrence_orders(kind, x)  # rejects an unknown kind before any work
-    return _summit_closure(x, kind, budget_ms, max_size, exhaustive, None)
+    return _summit_closure(x, kind, budget_ms, max_size, None)
+
+
+def super_summit_set(x: CanonicalElement, **limits) -> SummitSet:
+    """All conjugates attaining the summit inf and sup; summit_set's keywords."""
+    return summit_set(x, "super", **limits)
+
+
+def ultra_summit_set(x: CanonicalElement, **limits) -> SummitSet:
+    """The cycling-recurrent part of the super summit set; summit_set's keywords."""
+    return summit_set(x, "ultra", **limits)
+
+
+def c_star(x: CanonicalElement, **limits) -> SummitSet:
+    """The refined summit set, recurrent at every order; summit_set's keywords."""
+    return summit_set(x, "star", **limits)
 
 
 def decide_conjugacy(
@@ -248,18 +202,20 @@ def decide_conjugacy(
     """
     Whether x and y are conjugate; when they are, the witness w satisfies
     x^w = y exactly.  Decided by driving y to its refined-summit
-    representative and testing membership in the refined summit set of x;
-    differing summit bounds short-circuit to a negative answer.
+    representative and testing membership in the refined summit set of x.
+    The invariants short-circuit to a negative answer, cheapest first:
+    differing exponent sums before either representative is computed, then
+    differing summit bounds.
     """
     if x.struct != y.struct:
         raise ValueError("elements belong to different structures")
+    if x.exponent_sum != y.exponent_sum:
+        return ConjugacyAnswer(False)
     rx = cstar_representative(x)
     ry = cstar_representative(y)
     if (rx.element.inf, rx.element.sup) != (ry.element.inf, ry.element.sup):
         return ConjugacyAnswer(False)
-    if x.exponent_sum != y.exponent_sum:
-        return ConjugacyAnswer(False)
-    cs = _summit_closure(x, "star", budget_ms, max_size, False, rx)
+    cs = _summit_closure(x, "star", budget_ms, max_size, rx)
     if ry.element not in cs.witnesses:
         return ConjugacyAnswer(False)
     witness = cs.witnesses[ry.element] * ry.witness.inv()

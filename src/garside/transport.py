@@ -39,10 +39,10 @@ from .core import (
 from .cycling import (
     NotRecurrentError,
     Trajectory,
-    _closure_trajectory,
     closed_orbit,
     cyc_q,
     recurrence_orders,
+    trajectory,
 )
 
 
@@ -112,12 +112,6 @@ class TransportContext:
         self.q = q
         self.struct = x.struct
 
-    def _shifted_factors(self, m: int) -> tuple[Simple, ...]:
-        s = self.struct
-        if m % s.order_of_tau == 0:
-            return self.x.factors
-        return tuple(s.tau_pow(f, m) for f in self.x.factors)
-
     def _split(self, u: CanonicalElement) -> tuple[int, Simple]:
         if u.clen > 1:
             raise ValueError("transport arguments must have canonical length <= 1")
@@ -132,7 +126,7 @@ class TransportContext:
             # the step is trivial and phi(u) = x^{-1} u (x^u /\ D^q)
             return x.inv() * u * x.conj(u).meet_delta(q)
         m, su = self._split(u)
-        phi = _phi_simple(s, self._shifted_factors(m), x.power, q - x.power, su)
+        phi = _phi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
         return simple_element(s, phi, m)
 
     def pull(self, u: CanonicalElement) -> CanonicalElement:
@@ -142,7 +136,7 @@ class TransportContext:
                 "pullback is only defined for orders between inf x and sup x"
             )
         m, su = self._split(u)
-        pi = _pi_simple(s, self._shifted_factors(m), x.power, q - x.power, su)
+        pi = _pi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
         return simple_element(s, pi, m)
 
 
@@ -244,12 +238,14 @@ class _Excluded(Exception):
 
 def _seed_trajectories(
     x: CanonicalElement, kind: str
-) -> list[tuple[CanonicalElement, Trajectory]]:
+) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
     Shared engine behind seed_trajectories and the summit closures of every
-    kind.  Returns (conjugator, trajectory-of-x^conjugator) pairs covering
-    every minimal-conjugator successor trajectory of x inside the summit
-    set of the given kind.
+    kind.  Returns (v, x^v) pairs, one per surviving atom, where v is the
+    minimal recurrent conjugator above the atom; the trajectories of the
+    x^v cover every minimal-conjugator successor trajectory of x inside the
+    summit set of the given kind.  No trajectory is built here: the caller
+    closes the ones it has not seen yet.
 
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
@@ -259,7 +255,7 @@ def _seed_trajectories(
     transports = _orbit_transports(x, kind)
     atoms = s.atoms
     live = set(range(len(atoms)))
-    out: list[tuple[CanonicalElement, Trajectory]] = []
+    out: list[tuple[CanonicalElement, CanonicalElement]] = []
     for idx, atom in enumerate(atoms):
         others = [j for j in sorted(live) if j != idx]
 
@@ -280,16 +276,18 @@ def _seed_trajectories(
         except _Excluded:
             live.discard(idx)
             continue
-        out.append((v, _closure_trajectory(x.conj(v), kind)))
+        out.append((v, x.conj(v)))
     return out
 
 
 def seed_trajectories(x: CanonicalElement) -> list[tuple[CanonicalElement, Trajectory]]:
     """
     Trajectories adjacent to the trajectory of x inside the refined summit
-    set: for each atom a (with the exclusion shortcut), minimize a to a
-    conjugator v = mu_x(a) and take the full trajectory of x^v.  The result
-    covers every trajectory reachable from x by a minimal simple-element
-    conjugation, and is bounded in size by the number of atoms.
+    set, as (v, trajectory of x^v) pairs: for each atom a (with the
+    exclusion shortcut), minimize a to a conjugator v = mu_x(a) and take
+    the full trajectory of x^v, whose seed is x^v.  The result covers every
+    trajectory reachable from x by a minimal simple-element conjugation,
+    and is bounded in size by the number of atoms; two pairs may share a
+    trajectory.
     """
-    return _seed_trajectories(x, "star")
+    return [(v, trajectory(z)) for v, z in _seed_trajectories(x, "star")]

@@ -16,7 +16,6 @@ from garside.braid import (
     WordError,
     braid_structure,
     parse_word,
-    perm_from_one_indexed,
     perm_to_one_indexed,
     random_simple,
     word_str,
@@ -247,8 +246,6 @@ def test_structure_constants():
 def test_simple_count_small():
     # the simple elements of B_n are the n! permutations
     assert len(all_simples(3)) == math.factorial(3)
-    st = braid_structure(3)
-    assert sum(1 for _ in st.all_simples()) == 6
 
 
 def test_divisibility_is_inversion_containment():
@@ -286,9 +283,6 @@ def test_word_str_roundtrip(rng):
 def test_one_indexed_serialization():
     st = braid_structure(3)
     assert perm_to_one_indexed(st.delta) == [3, 2, 1]
-    assert perm_from_one_indexed([3, 2, 1], 3) == st.delta
-    with pytest.raises(ValueError):
-        perm_from_one_indexed([1, 1, 2], 3)
 
 
 def test_random_simple_contract(rng):
