@@ -63,15 +63,10 @@ def run_bench(
     budget_ms: float | None = None,
     max_size: int | None = DEFAULT_MAX_SIZE,
     kinds: Sequence[str] = ("ultra", "star"),
-    repeats: int = 1,
 ) -> list[BenchRow]:
     """
     Benchmark one (test, n, l) cell: per-kind mean/max summit-set sizes and
-    times over `samples` random braids.  `repeats` > 1 times each
-    computation that many times and records the median (sizes are computed
-    once; only the clock is repeated).  Every run after the first finds the
-    structure's meet/join memo warm from the runs before it, so the median
-    of several repeats times the memoised kernel, not a cold start.
+    times over `samples` random braids.
     """
     if test not in GENERATORS:
         raise ValueError("test must be 1, 2 or 3")
@@ -84,7 +79,7 @@ def run_bench(
         x = gen(n, l, rng)
         for kind in kinds:
             try:
-                ss, ms = _timed_summit(x, kind, budget_ms, max_size, repeats)
+                ss, ms = _timed_summit(x, kind, budget_ms, max_size)
             except BudgetExceeded:
                 timeouts[kind] += 1
                 continue
@@ -111,16 +106,10 @@ def _timed_summit(
     kind: str,
     budget_ms: float | None,
     max_size: int | None,
-    repeats: int,
 ) -> tuple:
-    runs = []
-    ss = None
-    for _ in range(max(1, repeats)):
-        t0 = time.monotonic()
-        ss = summit_set(x, kind, budget_ms=budget_ms, max_size=max_size)
-        runs.append((time.monotonic() - t0) * 1000.0)
-    runs.sort()
-    return ss, runs[len(runs) // 2]
+    t0 = time.monotonic()
+    ss = summit_set(x, kind, budget_ms=budget_ms, max_size=max_size)
+    return ss, (time.monotonic() - t0) * 1000.0
 
 
 def rows_to_csv(rows: Iterable[BenchRow], header_lines: Sequence[str] = ()) -> str:

@@ -22,10 +22,10 @@ import sys
 from ..braid import WordError, parse_word, perm_to_one_indexed, word_str
 from ..core import CanonicalElement
 from ..cycling import cyc, cyc_pq, cyc_q
-from ..rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
+from ..rigid import c_star_star_rigid, is_rigid, rigid_power
 from ..summit import BudgetExceeded, decide_conjugacy, summit_set
-from .bench import DEFAULT_MAX_SIZE, DEFAULT_SAMPLES, rows_to_csv, run_bench
-from .generators import GENERATOR_SEED_NOTE, gen_test1, gen_test2, gen_test3
+from .bench import DEFAULT_MAX_SIZE, DEFAULT_SAMPLES, GENERATORS, rows_to_csv, run_bench
+from .generators import GENERATOR_SEED_NOTE
 
 EXIT_OK = 0
 EXIT_NOT_CONJUGATE = 1
@@ -160,8 +160,8 @@ def cmd_rigid_power(args) -> int:
             "that is capped at n <= 6 (use the library API beyond)"
         )
     x = _parse(args, args.word)
-    n1, n2 = stable_exponents(x)
     report = rigid_power(x)
+    n1, n2 = report.exponents
     payload = {"stable_exponents": [n1, n2], "rigid": report.is_rigid}
     lines = [f"stable exponents: N1={n1} N2={n2}", f"rigid power found: {report.is_rigid}"]
     if report.is_rigid:
@@ -177,8 +177,7 @@ def cmd_rigid_power(args) -> int:
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
-    gen = {1: gen_test1, 2: gen_test2, 3: gen_test3}[args.test]
-    x = gen(args.n, args.l, seed)
+    x = GENERATORS[args.test](args.n, args.l, seed)
     payload = {
         "test": args.test, "n": args.n, "l": args.l, "seed": seed,
         "generator": RNG_NAME,
@@ -198,7 +197,6 @@ def cmd_bench(args) -> int:
         samples=args.samples, seed=seed,
         budget_ms=args.budget_ms, max_size=args.max_size,
         kinds=tuple(args.kinds.split(",")),
-        repeats=args.repeats,
     )
     sys.stdout.write(rows_to_csv(rows, header_lines=[
         f"seed={seed} generator={RNG_NAME}",
@@ -264,9 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--kinds", default="ultra,star",
                    help="comma-separated summit kinds to benchmark")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="time each sample this many times and keep the median; "
-                        "runs after the first reuse the warm meet/join memo")
     p.set_defaults(fn=cmd_bench, max_size=DEFAULT_MAX_SIZE)
 
     return top

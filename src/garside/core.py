@@ -155,6 +155,8 @@ class CanonicalElement:
         return normalize(s, q, word)
 
     def __pow__(self, exp: int) -> "CanonicalElement":
+        if exp == 1:
+            return self
         acc = CanonicalElement(self.struct, 0, ())
         base = self if exp >= 0 else self.inv()
         k = abs(exp)

@@ -1,19 +1,22 @@
 """
 cycling: cycling operations of every order, orbit recurrence, trajectories.
 
-The cycling of order q conjugates x by its prefix x /\\ D^q.  For q at or
-below inf x this is just tau^q, for q at or above sup x it does nothing,
-and in between it cyclically rotates the normal form:
+The cycling of order q conjugates x by its prefix x /\\ D^q.  As x is that
+prefix times the complementary suffix, the conjugate is the suffix times
+the prefix, both read off the normal form (0 < k = q - p < l):
 
-    D^p x_1...x_l   |->   x_{k+1}...x_l D^p x_1...x_k        (k = q - p)
+    D^p x_1...x_l   |->   x_{k+1}...x_l D^p x_1...x_k
 
-which we use as the fast evaluation path.  Iterating any single order from
-any start eventually enters a closed orbit, because inf never decreases and
-sup never increases, so the reachable set is finite.  The elements lying on
-closed orbits of order q form the recurrence set G_q; elements recurrent at
-every order are exactly the members of the refined summit set of their
-conjugacy class, and the trajectory of such an element is its closure under
-all interior-order cyclings together with tau.
+so only the junction of the product is re-weighted.  For q at or below
+inf x the prefix is D^q and the step is tau^q; for q at or above sup x the
+suffix is trivial.  The double-order cycling (p, q) conjugates by
+x^p /\\ D^q and is the order-q cycling at p = 1.  Iterating any single
+order from any start eventually enters a closed orbit, because inf never
+decreases and sup never increases, so the reachable set is finite.  The
+elements lying on closed orbits of order q form the recurrence set G_q;
+elements recurrent at every order are exactly the members of the refined
+summit set of their conjugacy class, and the trajectory of such an element
+is its closure under all interior-order cyclings together with tau.
 
 Everything here is pure and operates on immutable values.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Mapping
 
-from .core import CanonicalElement, delta_power, identity_element, normalize
+from .core import CanonicalElement, delta_power, identity_element
 
 
 class NotRecurrentError(ValueError):
@@ -32,43 +35,35 @@ class NotRecurrentError(ValueError):
 
 def cyc_q(x: CanonicalElement, q: int) -> tuple[CanonicalElement, CanonicalElement]:
     """
-    Cycling of order q: returns (x conjugated by x /\\ D^q, the conjugator).
-
+    Cycling of order q: returns (x conjugated by x /\\ D^q, the conjugator),
+    computed as the suffix rest of x = (x /\\ D^q) rest times the prefix.
     inf never decreases and sup never increases under this step.
     """
-    s = x.struct
-    if q >= x.sup:
-        return x, x
-    if q <= x.power:
-        return x.tau_pow(q), delta_power(s, q)
-    k = q - x.power
-    fs = x.factors
-    conj = CanonicalElement(s, x.power, fs[:k])
-    word = list(x.tau_pow(x.power).factors[k:])
-    word.extend(fs[:k])
-    return normalize(s, x.power, word), conj
+    p = x.power
+    conj = x.meet_delta(q)
+    rest = CanonicalElement(x.struct, max(p - q, 0), x.factors[max(q - p, 0):])
+    return rest * conj, conj
 
 
 def cyc(x: CanonicalElement) -> CanonicalElement:
     """Classical cycling: tau^{-inf}(cycling of order inf+1)."""
-    if not x.factors:
-        return x
     return cyc_q(x, x.inf + 1)[0].tau_pow(-x.power)
 
 
 def dec(x: CanonicalElement) -> CanonicalElement:
     """Classical decycling: cycling of order sup-1."""
-    if not x.factors:
-        return x
     return cyc_q(x, x.sup - 1)[0]
 
 
 def cyc_pq(x: CanonicalElement, p: int, q: int) -> tuple[CanonicalElement, CanonicalElement]:
     """
-    Cycling of double order (p, q): conjugation by x^p /\\ D^q.  The p-th
-    power is recomputed on each call; orbit lengths at desk scale keep this
-    cheap.  Satisfies cyc_q(x^p) = (cyc_pq(x, p, q))^p.
+    Cycling of double order (p, q): conjugation by x^p /\\ D^q; order
+    (1, q) is cyc_q.  The p-th power is recomputed on each call; orbit
+    lengths at desk scale keep this cheap.  Satisfies
+    cyc_q(x^p) = (cyc_pq(x, p, q))^p.
     """
+    if p == 1:
+        return cyc_q(x, q)
     conj = (x ** p).meet_delta(q)
     return x.conj(conj), conj
 
@@ -146,25 +141,38 @@ class WitnessedElement:
         return self.base.conj(self.witness) == self.element
 
 
-def cstar_representative(x: CanonicalElement) -> WitnessedElement:
+def _order_sweep(
+    x: CanonicalElement, wit: CanonicalElement, p: int
+) -> tuple[CanonicalElement, CanonicalElement, bool]:
     """
-    Drive x to an element recurrent at every order, by a single ascending
-    sweep of orders: at each q below the current sup, iterate the order-q
-    cycling to its closed orbit and move there.  Recurrence at earlier
-    orders survives later steps, orders at or below the current inf are
-    recurrent for free, and sup is re-read every round since it may shrink.
-    The result attains the summit inf and sup of the conjugacy class.
+    One ascending order sweep of the (p, q) cycling: at each q strictly
+    inside the bounds of the current p-th power, which may shrink, move to
+    the closed orbit of that order.  Returns the element reached, wit times
+    the conjugator from x to it, and whether anything moved.
     """
-    cur = x
-    wit = identity_element(x.struct)
-    q = x.inf + 1
-    while q < cur.sup:
-        if q > cur.inf:
-            rec = recurrent_representative(cur, q)
+    cur, moved = x, False
+    xp = cur ** p
+    q = xp.inf + 1
+    while q < xp.sup:
+        if q > xp.inf:
+            rec = closed_orbit(cur, lambda y: cyc_pq(y, p, q))
             if rec.entry_index:
                 wit = wit * rec.witness
                 cur = rec.recurrent_element
+                xp = cur ** p
+                moved = True
         q += 1
+    return cur, wit, moved
+
+
+def cstar_representative(x: CanonicalElement) -> WitnessedElement:
+    """
+    Drive x to an element recurrent at every order by one order sweep at
+    p = 1: recurrence at earlier orders survives later steps, and orders at
+    or below the current inf are recurrent for free.  The result attains
+    the summit inf and sup of the conjugacy class.
+    """
+    cur, wit, _ = _order_sweep(x, identity_element(x.struct), 1)
     return WitnessedElement(x, cur, wit)
 
 
@@ -261,7 +269,8 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
     cycling (p, q) for every p in [m, n] and every q: run the ascending
     order sweep for each p in turn and repeat until a full pass changes
     nothing, at which point every orbit check found its start already
-    recurrent, i.e. the element is simultaneously stable.
+    recurrent, i.e. the element is simultaneously stable.  No bound on the
+    number of passes is known, hence the cap.
     """
     if m > n:
         raise ValueError("need m <= n")
@@ -272,17 +281,8 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
         for p in range(m, n + 1):
             if p == 0:
                 continue  # order-(0, q) cycling is tau^q or the identity
-            xp = cur ** p
-            q = xp.inf + 1
-            while q < xp.sup:
-                if q > xp.inf:
-                    rec = closed_orbit(cur, lambda y: cyc_pq(y, p, q))
-                    if rec.entry_index:
-                        wit = wit * rec.witness
-                        cur = rec.recurrent_element
-                        xp = cur ** p
-                        changed = True
-                q += 1
+            cur, wit, moved = _order_sweep(cur, wit, p)
+            changed = changed or moved
         if not changed:
             return WitnessedElement(x, cur, wit)
     raise RuntimeError("double-order sweep failed to stabilize")

@@ -57,12 +57,14 @@ def stable_exponents(x: CanonicalElement) -> tuple[int, int]:
 @dataclasses.dataclass(frozen=True)
 class RigidReport:
     """
-    Outcome of rigid-power detection.  When is_rigid holds, power is the
+    Outcome of rigid-power detection.  exponents are the stable exponents
+    (N1, N2) the detection computed.  When is_rigid holds, power is the
     exponent N, rigid_conjugate a rigid element and witness a conjugator
     with (x^N)^witness = rigid_conjugate.
     """
 
     is_rigid: bool
+    exponents: tuple[int, int]
     power: int | None = None
     rigid_conjugate: CanonicalElement | None = None
     witness: CanonicalElement | None = None
@@ -85,8 +87,8 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     y = rec.recurrent_element
     wit = wit * rec.witness
     if not is_rigid(y):
-        return RigidReport(False)
-    return RigidReport(True, power=n, rigid_conjugate=y, witness=wit)
+        return RigidReport(False, (n1, n2))
+    return RigidReport(True, (n1, n2), power=n, rigid_conjugate=y, witness=wit)
 
 
 def c_star_star_rigid(x: CanonicalElement) -> SummitSet:

@@ -39,9 +39,8 @@ from .core import (
 from .cycling import (
     NotRecurrentError,
     Trajectory,
-    closed_orbit,
-    cyc_q,
     recurrence_orders,
+    recurrent_representative,
     trajectory,
 )
 
@@ -79,7 +78,8 @@ def _pi_simple(
         v_k = u,      v_{i-1} = D^{-1} (D \\/ tau^{-1}(x_i v_i))   i = k..1
         w_{k+1} = u,  w_{i+1} = x_i^{-1} (x_i \\/ w_i)             i = k+1..l
 
-    joined as tau^{-p}(v_0) \\/ w_{l+1}.
+    joined as tau^{-p}(v_0) \\/ w_{l+1}.  With tau^{-1}(x_i v_i) = cp dp in
+    normal form and r = rc(cp), D^{-1} (D \\/ cp dp) = r^{-1} (r \\/ dp).
     """
     v = u
     for i in range(k - 1, -1, -1):
@@ -88,8 +88,8 @@ def _pi_simple(
         t = s.meet(s.right_complement(c), d)
         cp = s.mul(c, t)
         dp = s.left_quotient(t, d)
-        # D \/ cp*dp = cp * (rc(cp) \/ dp); prepend D^{-1} as a table product
-        v = s.mul(s.delta, s.mul(cp, s.join(s.right_complement(cp), dp)))
+        r = s.right_complement(cp)
+        v = s.left_quotient(r, s.join(r, dp))
     w = u
     for i in range(k, len(factors)):
         xi = factors[i]
@@ -147,7 +147,7 @@ class OrbitTransport:
     """
 
     def __init__(self, x: CanonicalElement, q: int):
-        rec = closed_orbit(x, lambda y: cyc_q(y, q))
+        rec = recurrent_representative(x, q)
         if rec.entry_index:
             raise NotRecurrentError(f"element is not order-{q} recurrent")
         self.x = x
@@ -221,7 +221,7 @@ def minimal_recurrent_conjugator(
 
 def _orbit_transports(x: CanonicalElement, kind: str) -> list[OrbitTransport]:
     """The orbit transports of x at its recurrence orders of the kind, ascending."""
-    return [OrbitTransport(x, q) for q in sorted(set(recurrence_orders(kind, x)))]
+    return [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
 
 
 def mu(x: CanonicalElement, u: CanonicalElement) -> CanonicalElement:

@@ -44,24 +44,26 @@ def test_cyc_q_examples():
 
 
 def test_cyc_q_matches_definition_and_rotation(rng):
-    # the fast path must agree with conjugation by x /\ D^q, and the
-    # interior case with the rotated word
-    for _ in range(250):
-        n = rng.choice([3, 4, 5])
-        st = braid_structure(n)
-        x = random_element(rng, n)
-        for q in range(x.inf - 1, x.sup + 2):
-            y, c = cyc_q(x, q)
-            assert c == x.meet_delta(q)
-            assert y == x.conj(c)
-            if x.inf < q < x.sup:
-                k = q - x.inf
-                rotated = normalize(
-                    st,
-                    x.power,
-                    [st.tau_pow(f, x.power) for f in x.factors[k:]] + list(x.factors[:k]),
-                )
-                assert y == rotated
+    # suffix times prefix must agree with conjugation by x /\ D^q, and the
+    # interior case with the normalised rotated word; the long B_10/B_20
+    # forms let the slide at the junction run across several factors
+    for count, sizes, max_len in ((250, [3, 4, 5], 4), (30, [10, 20], 10)):
+        for _ in range(count):
+            n = rng.choice(sizes)
+            st = braid_structure(n)
+            x = random_element(rng, n, max_len=max_len)
+            for q in range(x.inf - 1, x.sup + 2):
+                y, c = cyc_q(x, q)
+                assert c == x.meet_delta(q)
+                assert y == x.conj(c)
+                if x.inf < q < x.sup:
+                    k = q - x.inf
+                    rotated = normalize(
+                        st,
+                        x.power,
+                        [st.tau_pow(f, x.power) for f in x.factors[k:]] + list(x.factors[:k]),
+                    )
+                    assert y == rotated
 
 
 def test_cyc_q_monotone_bounds_and_tau_commutes(rng):
@@ -204,6 +206,8 @@ def test_cstar_representative_is_everywhere_recurrent(rng):
         x = random_element(rng, rng.choice([3, 4, 5]))
         w = cstar_representative(x)
         assert w.verify()
+        # C_{1,q} = C_q: the double-order sweep at p = 1 is the same sweep
+        assert cmn_star_representative(x, 1, 1) == w
         y = w.element
         for q in range(y.inf, y.sup + 1):
             assert in_recurrence_set(y, q)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from garside.braid import braid_structure, parse_word, random_simple
+from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
@@ -13,6 +13,7 @@ from garside.cycling import (
     in_recurrence_set,
     recurrence_orders,
 )
+from garside.summit import c_star, ultra_summit_set
 from garside.transport import (
     OrbitTransport,
     TransportContext,
@@ -370,3 +371,30 @@ def test_seed_trajectories_exclusion_is_safe(rng):
                         is_minimal = False
                 if is_minimal:
                     assert full_trajectory(x.conj(v)).key_element in keys_with_rule
+
+
+class _ContractBraidStructure(BraidStructure):
+    """B_n whose mul and left_quotient fail outside the GarsideStructure contract."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        assert self.norm(a) + self.norm(b) == self.norm(out), ("product exceeds D", a, b)
+        return out
+
+    def left_quotient(self, a, b):
+        # the inverse table is no simple, so compose it with the unchecked mul
+        out = BraidStructure.mul(self, self.inverse_table(a), b)
+        assert self.norm(a) + self.norm(out) == self.norm(b), ("no left divisor", a, b)
+        return out
+
+
+def test_summit_sets_keep_the_simple_product_contract(rng):
+    # generic code may multiply simples only when the product divides D and
+    # divide only by a left divisor; the pullback used to break the first
+    for _ in range(15):
+        n = rng.choice([3, 4, 5])
+        st = _ContractBraidStructure(n)
+        word = [random_simple(rng, n) for _ in range(rng.randint(1, 3))]
+        x = normalize(st, rng.randint(-1, 1), word)
+        for ss in (c_star(x), ultra_summit_set(x)):
+            assert ss.verify_witnesses()
