@@ -53,12 +53,7 @@ from .summit import (
     super_summit_set,
     ultra_summit_set,
 )
-from .transport import (
-    OrbitTransport,
-    TransportContext,
-    mu,
-    seed_trajectories,
-)
+from .transport import OrbitTransport, TransportContext
 
 __all__ = [
     "BraidStructure",
@@ -88,13 +83,11 @@ __all__ = [
     "identity_element",
     "in_recurrence_set",
     "is_rigid",
-    "mu",
     "normalize",
     "parse_word",
     "random_simple",
     "recurrent_representative",
     "rigid_power",
-    "seed_trajectories",
     "simple_element",
     "stable_exponents",
     "summit_bounds",

@@ -108,9 +108,6 @@ class BraidStructure(GarsideStructure):
             )
         return cached
 
-    def left_complement(self, a: PermSimple) -> PermSimple:
-        return tuple(reversed(self.inverse_table(a)))
-
     def tau(self, a: PermSimple) -> PermSimple:
         cached = self._tau_cache.get(a)
         if cached is None:
@@ -280,8 +277,8 @@ def parse_word(text: str, n: int) -> CanonicalElement:
             letters.append(atom)
             shifts.append(0)
         else:
-            # a^{-1} = D^-1 * (D a^{-1})
-            letters.append(s.left_complement(atom))
+            # a^{-1} = D^-1 * (D a^{-1}) and D a^{-1} = tau^{-1}(a^{-1} D)
+            letters.append(s.tau_pow(s.right_complement(atom), -1))
             shifts.append(-1)
     power = 0
     word: list[PermSimple] = [s.identity] * len(letters)

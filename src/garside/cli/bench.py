@@ -18,7 +18,6 @@ import random
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..core import CanonicalElement
 from ..summit import BudgetExceeded, summit_set
 from .generators import gen_test1, gen_test2, gen_test3
 
@@ -78,13 +77,14 @@ def run_bench(
     for _ in range(samples):
         x = gen(n, l, rng)
         for kind in kinds:
+            t0 = time.monotonic()
             try:
-                ss, ms = _timed_summit(x, kind, budget_ms, max_size)
+                ss = summit_set(x, kind, budget_ms=budget_ms, max_size=max_size)
             except BudgetExceeded:
                 timeouts[kind] += 1
                 continue
             sizes[kind].append(len(ss))
-            times[kind].append(ms)
+            times[kind].append((time.monotonic() - t0) * 1000.0)
     rows = []
     for kind in kinds:
         done = sizes[kind]
@@ -99,17 +99,6 @@ def run_bench(
             )
         )
     return rows
-
-
-def _timed_summit(
-    x: CanonicalElement,
-    kind: str,
-    budget_ms: float | None,
-    max_size: int | None,
-) -> tuple:
-    t0 = time.monotonic()
-    ss = summit_set(x, kind, budget_ms=budget_ms, max_size=max_size)
-    return ss, (time.monotonic() - t0) * 1000.0
 
 
 def rows_to_csv(rows: Iterable[BenchRow], header_lines: Sequence[str] = ()) -> str:

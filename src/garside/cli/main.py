@@ -70,12 +70,8 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _parse(args, text: str) -> CanonicalElement:
-    return parse_word(text, args.n)
-
-
 def cmd_nf(args) -> int:
-    x = _parse(args, args.word)
+    x = parse_word(args.word, args.n)
     _emit(args, _element_payload(x), [
         f"inf {x.inf}  sup {x.sup}  len {x.clen}",
         f"word: {word_str(x) or '(identity)'}",
@@ -85,7 +81,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_cyc(args) -> int:
-    x = _parse(args, args.word)
+    x = parse_word(args.word, args.n)
     if args.double is not None:
         p, q = args.double
         y, c = cyc_pq(x, p, q)
@@ -107,7 +103,7 @@ def cmd_cyc(args) -> int:
 
 
 def cmd_summit(args) -> int:
-    x = _parse(args, args.word)
+    x = parse_word(args.word, args.n)
     ss = summit_set(x, args.kind, budget_ms=args.budget_ms, max_size=args.max_size)
     # sorted members plus (infs, sups, kind): byte-stable
     payload = {
@@ -127,8 +123,8 @@ def cmd_summit(args) -> int:
 
 
 def cmd_conj(args) -> int:
-    x = _parse(args, args.word)
-    y = _parse(args, args.word2)
+    x = parse_word(args.word, args.n)
+    y = parse_word(args.word2, args.n)
     ans = decide_conjugacy(x, y, budget_ms=args.budget_ms, max_size=args.max_size)
     payload = {"conjugate": ans.conjugate}
     if ans.conjugate:
@@ -140,7 +136,7 @@ def cmd_conj(args) -> int:
 
 
 def cmd_rigid(args) -> int:
-    x = _parse(args, args.word)
+    x = parse_word(args.word, args.n)
     rigid = is_rigid(x)
     payload = {"rigid": rigid}
     lines = [f"rigid: {'true' if rigid else 'false'}"]
@@ -159,7 +155,7 @@ def cmd_rigid_power(args) -> int:
             "rigid-power evaluates summit bounds of ||D|| powers; "
             "that is capped at n <= 6 (use the library API beyond)"
         )
-    x = _parse(args, args.word)
+    x = parse_word(args.word, args.n)
     report = rigid_power(x)
     n1, n2 = report.exponents
     payload = {"stable_exponents": [n1, n2], "rigid": report.is_rigid}

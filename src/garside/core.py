@@ -55,10 +55,6 @@ class GarsideStructure(abc.ABC):
         """a^{-1} D."""
 
     @abc.abstractmethod
-    def left_complement(self, a: Simple) -> Simple:
-        """D a^{-1}."""
-
-    @abc.abstractmethod
     def meet(self, a: Simple, b: Simple) -> Simple:
         """Left greatest common divisor of two simples."""
 
@@ -191,16 +187,6 @@ class CanonicalElement:
     def divides(self, other: "CanonicalElement") -> bool:
         """Whether self left-divides other in the group's positive cone."""
         return (self.inv() * other).inf >= 0
-
-    def validate(self) -> None:
-        """Assert the normal-form invariants; used by tests, not hot paths."""
-        s = self.struct
-        for f in self.factors:
-            if s.is_identity(f) or s.is_delta(f):
-                raise AssertionError("factor equals identity or Delta")
-        for a, b in zip(self.factors, self.factors[1:]):
-            if not s.is_identity(s.meet(s.right_complement(a), b)):
-                raise AssertionError("adjacent factors not left-weighted")
 
     def __repr__(self) -> str:
         return f"CanonicalElement(D^{self.power}, {len(self.factors)} factors)"

@@ -86,10 +86,6 @@ class OrbitRecord:
         return self.elements[self.entry_index]
 
     @property
-    def orbit_length(self) -> int:
-        return len(self.elements) - self.entry_index
-
-    @property
     def witness(self) -> CanonicalElement:
         """Conjugator carrying elements[0] to the recurrent element."""
         out = identity_element(self.elements[0].struct)
@@ -115,18 +111,20 @@ def closed_orbit(x: CanonicalElement, step: Step) -> OrbitRecord:
     return OrbitRecord(tuple(elements), index[cur], tuple(conjugators))
 
 
-def recurrent_representative(x: CanonicalElement, q: int) -> OrbitRecord:
-    """Orbit of x under cycling of order q; its tail lies in G_q."""
-    return closed_orbit(x, lambda y: cyc_q(y, q))
+def recurrent_representative(x: CanonicalElement, q: int, *, p: int = 1) -> OrbitRecord:
+    """
+    Orbit of x under the (p, q) cycling, which at p = 1 is the order-q
+    cycling; its tail is the closed orbit, which at p = 1 lies in G_q.
+    """
+    return closed_orbit(x, lambda y: cyc_pq(y, p, q))
 
 
-def in_recurrence_set(x: CanonicalElement, q: int) -> bool:
-    """Whether x lies on a closed orbit of the order-q cycling."""
-    return recurrent_representative(x, q).entry_index == 0
-
-
-def in_recurrence_set_pq(x: CanonicalElement, p: int, q: int) -> bool:
-    return closed_orbit(x, lambda y: cyc_pq(y, p, q)).entry_index == 0
+def in_recurrence_set(x: CanonicalElement, q: int, *, p: int = 1) -> bool:
+    """
+    Whether x lies on a closed orbit of the (p, q) cycling; at p = 1, of
+    the order-q cycling, i.e. whether x is in G_q.
+    """
+    return recurrent_representative(x, q, p=p).entry_index == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,9 +134,6 @@ class WitnessedElement:
     base: CanonicalElement
     element: CanonicalElement
     witness: CanonicalElement
-
-    def verify(self) -> bool:
-        return self.base.conj(self.witness) == self.element
 
 
 def _order_sweep(
@@ -155,7 +150,7 @@ def _order_sweep(
     q = xp.inf + 1
     while q < xp.sup:
         if q > xp.inf:
-            rec = closed_orbit(cur, lambda y: cyc_pq(y, p, q))
+            rec = recurrent_representative(cur, q, p=p)
             if rec.entry_index:
                 wit = wit * rec.witness
                 cur = rec.recurrent_element
@@ -192,9 +187,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, y: CanonicalElement) -> bool:
-        return y in self.witnesses
 
     def witness(self, y: CanonicalElement) -> CanonicalElement:
         """Conjugator u with seed^u = y."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import CanonicalElement, delta_power
-from .cycling import closed_orbit, cstar_representative, cyc_pq, in_recurrence_set_pq
+from .cycling import cstar_representative, in_recurrence_set, recurrent_representative
 from .summit import SummitSet, summit_bounds, super_summit_set
 
 
@@ -83,7 +83,7 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     rep = cstar_representative(xn)
     y, wit = rep.element, rep.witness
     qbar = y.inf + y.sup
-    rec = closed_orbit(y, lambda z: cyc_pq(z, 2, qbar))
+    rec = recurrent_representative(y, qbar, p=2)
     y = rec.recurrent_element
     wit = wit * rec.witness
     if not is_rigid(y):
@@ -101,7 +101,7 @@ def c_star_star_rigid(x: CanonicalElement) -> SummitSet:
         raise ValueError("input element is not rigid")
     ss = super_summit_set(x)
     qbar = x.inf + x.sup
-    members = tuple(y for y in ss.members if in_recurrence_set_pq(y, 2, qbar))
+    members = tuple(y for y in ss.members if in_recurrence_set(y, qbar, p=2))
     witnesses = {y: ss.witnesses[y] for y in members}
     return SummitSet(
         kind="star_star",

@@ -81,9 +81,6 @@ class SummitSet:
     def witness(self, y: CanonicalElement) -> CanonicalElement:
         return self.witnesses[y]
 
-    def member_keys(self) -> frozenset:
-        return frozenset(m.key() for m in self.members)
-
     def verify_witnesses(self) -> bool:
         return all(self.base.conj(w) == y for y, w in self.witnesses.items())
 

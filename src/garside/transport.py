@@ -36,13 +36,7 @@ from .core import (
     delta_power,
     simple_element,
 )
-from .cycling import (
-    NotRecurrentError,
-    Trajectory,
-    recurrence_orders,
-    recurrent_representative,
-    trajectory,
-)
+from .cycling import NotRecurrentError, recurrence_orders, recurrent_representative
 
 
 def _phi_simple(
@@ -219,19 +213,6 @@ def minimal_recurrent_conjugator(
     return cur
 
 
-def _orbit_transports(x: CanonicalElement, kind: str) -> list[OrbitTransport]:
-    """The orbit transports of x at its recurrence orders of the kind, ascending."""
-    return [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
-
-
-def mu(x: CanonicalElement, u: CanonicalElement) -> CanonicalElement:
-    """
-    The minimal v above u conjugating x into the refined summit set of x
-    (x must be recurrent at every order, as from cstar_representative).
-    """
-    return minimal_recurrent_conjugator(_orbit_transports(x, "star"), u)
-
-
 class _Excluded(Exception):
     pass
 
@@ -240,19 +221,20 @@ def _seed_trajectories(
     x: CanonicalElement, kind: str
 ) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
-    Shared engine behind seed_trajectories and the summit closures of every
-    kind.  Returns (v, x^v) pairs, one per surviving atom, where v is the
-    minimal recurrent conjugator above the atom; the trajectories of the
-    x^v cover every minimal-conjugator successor trajectory of x inside the
-    summit set of the given kind.  No trajectory is built here: the caller
-    closes the ones it has not seen yet.
+    The seed step of the summit closures of every kind.  Returns (v, x^v)
+    pairs, one per surviving atom, where v is the minimal recurrent
+    conjugator above the atom, and builds the orbit transports of x once
+    for all atoms.  The trajectories of the x^v cover every
+    minimal-conjugator successor trajectory of x inside the summit set of
+    the given kind, so there are at most as many as atoms.  No trajectory
+    is built here: the caller closes the ones it has not seen yet.
 
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
     atoms' trajectories cover the dropped ones.
     """
     s = x.struct
-    transports = _orbit_transports(x, kind)
+    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, CanonicalElement]] = []
@@ -278,16 +260,3 @@ def _seed_trajectories(
             continue
         out.append((v, x.conj(v)))
     return out
-
-
-def seed_trajectories(x: CanonicalElement) -> list[tuple[CanonicalElement, Trajectory]]:
-    """
-    Trajectories adjacent to the trajectory of x inside the refined summit
-    set, as (v, trajectory of x^v) pairs: for each atom a (with the
-    exclusion shortcut), minimize a to a conjugator v = mu_x(a) and take
-    the full trajectory of x^v, whose seed is x^v.  The result covers every
-    trajectory reachable from x by a minimal simple-element conjugation,
-    and is bounded in size by the number of atoms; two pairs may share a
-    trajectory.
-    """
-    return [(v, trajectory(z)) for v, z in _seed_trajectories(x, "star")]

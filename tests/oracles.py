@@ -23,6 +23,20 @@ from garside.core import (
 )
 
 
+def assert_normal_form(x: CanonicalElement) -> None:
+    """
+    Assert the normal-form invariants of x: no factor is the identity or D,
+    and every adjacent pair of factors is left-weighted.
+    """
+    s = x.struct
+    for f in x.factors:
+        if s.is_identity(f) or s.is_delta(f):
+            raise AssertionError("factor equals identity or Delta")
+    for a, b in zip(x.factors, x.factors[1:]):
+        if not s.is_identity(s.meet(s.right_complement(a), b)):
+            raise AssertionError("adjacent factors not left-weighted")
+
+
 def first_factor(x: CanonicalElement):
     """x /\\ D as a simple table; x must be positive."""
     s = x.struct
@@ -203,9 +217,10 @@ def conjugation_components(st: BraidStructure, cap: int) -> dict[CanonicalElemen
 
 def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str) -> frozenset:
     """
-    Summit sets by definition: search the whole conjugacy class inside the
-    summit box via single-simple conjugations, then filter by the kind's
-    recurrence condition.  Only for small n and short elements.
+    Summit sets by definition, as a frozenset of members: search the whole
+    conjugacy class inside the summit box via single-simple conjugations,
+    then filter by the kind's recurrence condition.  Only for small n and
+    short elements.
     """
     from garside.cycling import closed_orbit, cstar_representative, cyc, cyc_q
     from garside.summit import summit_bounds
@@ -242,4 +257,4 @@ def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str
         }
     else:
         raise ValueError(kind)
-    return frozenset(z.key() for z in keep)
+    return frozenset(keep)

@@ -195,13 +195,11 @@ def test_complements():
     for n in (3, 4, 5):
         st = braid_structure(n)
         assert st.right_complement(st.delta) == st.identity
-        assert st.left_complement(st.delta) == st.identity
         assert st.right_complement(st.identity) == st.delta
         rng = random.Random(n)
         for _ in range(50):
             a = random_simple(rng, n)
             assert st.mul(a, st.right_complement(a)) == st.delta
-            assert st.mul(st.left_complement(a), a) == st.delta
     st = braid_structure(3)
     assert st.right_complement(st.atoms[0]) == st.mul(st.atoms[1], st.atoms[0])
 
@@ -265,6 +263,11 @@ def test_parse_word_examples():
     assert parse_word("D D^-1", 3).is_identity
     assert parse_word("1 -1", 3).is_identity
     assert parse_word("-2", 3) == simple_element(st, st.atoms[1]).inv()
+    # an inverse letter becomes D^-1 tau^{-1}(rc(a)): check every one up to B_10
+    for n in range(2, 11):
+        st = braid_structure(n)
+        for k in range(1, n):
+            assert parse_word(f"-{k}", n) == simple_element(st, st.atoms[k - 1]).inv(), (n, k)
 
 
 def test_parse_word_errors():

@@ -64,6 +64,27 @@ def test_summit_json_golden_bytes():
     )
 
 
+def test_conj_json_golden_bytes():
+    r = run_cli("conj", "--n", "5", "1 2 4 4 4", "2 4 1 4 4", "--json")
+    assert r.stdout == '{"conjugate":true,"witness":"D 2 3 4 1 2 3"}\n'
+    # inverse letters in the input
+    r = run_cli("conj", "--n", "4", "1 -2 3 3", "D^-1 2 3 1 1 3 2 2 1", "--json")
+    assert r.stdout == '{"conjugate":true,"witness":"2 3 1"}\n'
+
+
+def test_rigid_power_json_golden_bytes():
+    r = run_cli("rigid-power", "--n", "4", "3 1 2 3 3", "--json")
+    assert r.stdout == (
+        '{"power":2,"rigid":true,"rigid_conjugate":{"factors":[[3,4,1,2]],"inf":1,"len":1,'
+        '"power":1,"sup":2,"word":"D 2 3 1 2"},"stable_exponents":[2,1],"witness":"D 3 2"}\n'
+    )
+    r = run_cli("rigid-power", "--n", "5", "4 3 2", "--json")
+    assert r.stdout == (
+        '{"power":2,"rigid":true,"rigid_conjugate":{"factors":[[1,5,4,3,2]],"inf":0,"len":1,'
+        '"power":0,"sup":1,"word":"2 3 4 2 3 2"},"stable_exponents":[1,2],"witness":"3 4 2 3 2"}\n'
+    )
+
+
 def test_serialization_sorted_and_stable():
     argv = ("summit", "--kind", "star", "--n", "3", "1 1", "--json")
     d1 = json.loads(run_cli(*argv).stdout)

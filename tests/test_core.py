@@ -14,6 +14,7 @@ from garside.core import (
 )
 
 from conftest import random_element
+from oracles import assert_normal_form
 
 
 def s3():
@@ -36,7 +37,7 @@ def test_normalize_weighted_pair():
     s21 = st.mul(s2, s1)
     x = normalize(st, 0, [s21, s1])
     assert x.factors == (s21, s1)
-    x.validate()
+    assert_normal_form(x)
 
 
 def test_normalize_idempotent_and_rebracketing(rng):
@@ -46,7 +47,7 @@ def test_normalize_idempotent_and_rebracketing(rng):
             word = [random_simple(rng, n) for _ in range(rng.randint(0, 6))]
             p = rng.randint(-2, 2)
             a = normalize(st, p, word)
-            a.validate()
+            assert_normal_form(a)
             assert normalize(st, a.power, list(a.factors)) == a
             # the same word folded in a random bracketing normalizes identically
             parts = [simple_element(st, f) for f in word]

@@ -15,7 +15,6 @@ from garside.cycling import (
     cyc_q,
     dec,
     in_recurrence_set,
-    in_recurrence_set_pq,
     recurrent_representative,
     trajectory,
 )
@@ -119,7 +118,7 @@ def test_recurrent_representative():
     st = braid_structure(3)
     x = parse_word("1 1", 3)
     rec = recurrent_representative(x, 1)
-    assert rec.entry_index == 0 and rec.orbit_length == 1
+    assert rec.entry_index == 0 and len(rec.elements) - rec.entry_index == 1
     assert in_recurrence_set(x, 1)
 
     x = parse_word("2 1 1", 3)
@@ -133,6 +132,16 @@ def test_recurrent_representative():
     assert in_recurrence_set(y, y.sup)
     assert in_recurrence_set(y, y.inf - 3)
     assert in_recurrence_set(y, y.sup + 3)
+
+    # the keyword p selects the double order (p, q); p = 1 is order q
+    for q in range(y.inf - 1, y.sup + 2):
+        assert recurrent_representative(y, q, p=1).elements == recurrent_representative(y, q).elements
+        for p in (-1, 2):
+            rec = recurrent_representative(y, q, p=p)
+            steps = zip(rec.elements, rec.elements[1:] + (rec.recurrent_element,), rec.conjugators)
+            for a, b, c in steps:
+                assert cyc_pq(a, p, q) == (b, c)
+            assert in_recurrence_set(rec.recurrent_element, q, p=p)
 
 
 def test_orbit_record_chain(rng):
@@ -194,7 +203,7 @@ def test_cstar_representative():
 
     w = cstar_representative(parse_word("2 1 1", 3))
     assert w.element == delta_power(st, 1)
-    assert w.verify()
+    assert w.base.conj(w.witness) == w.element
 
     x = parse_word("1 1", 3)
     w = cstar_representative(x)
@@ -205,7 +214,7 @@ def test_cstar_representative_is_everywhere_recurrent(rng):
     for _ in range(50):
         x = random_element(rng, rng.choice([3, 4, 5]))
         w = cstar_representative(x)
-        assert w.verify()
+        assert w.base.conj(w.witness) == w.element
         # C_{1,q} = C_q: the double-order sweep at p = 1 is the same sweep
         assert cmn_star_representative(x, 1, 1) == w
         y = w.element
@@ -252,16 +261,16 @@ def test_cmn_star_representative(rng):
     st = braid_structure(3)
     x = parse_word("2 1 1", 3)
     w = cmn_star_representative(x, 1, 1)
-    assert w.verify() and w.element == delta_power(st, 1)
+    assert w.base.conj(w.witness) == w.element and w.element == delta_power(st, 1)
 
     for _ in range(12):
         y = random_element(rng, rng.choice([3, 4]), max_len=2)
         w = cmn_star_representative(y, 1, 2)
-        assert w.verify()
+        assert w.base.conj(w.witness) == w.element
         for p in (1, 2):
             zp = w.element ** p
             for q in range(zp.inf, zp.sup + 1):
-                assert in_recurrence_set_pq(w.element, p, q)
+                assert in_recurrence_set(w.element, q, p=p)
         # idempotent
         again = cmn_star_representative(w.element, 1, 2)
         assert again.element == w.element

@@ -40,3 +40,19 @@ def test_no_private_imports_across_modules():
                 if alias.name.startswith("_") and not alias.name.startswith("__"):
                     found.add((path.stem, alias.name))
     assert found <= PINNED_PRIVATE_IMPORTS, sorted(found - PINNED_PRIVATE_IMPORTS)
+
+
+def test_all_lists_every_public_import_once():
+    names = garside.__all__
+    assert names == sorted(names)
+    assert len(names) == len(set(names))
+    assert all(hasattr(garside, name) for name in names)
+    tree = ast.parse(Path(garside.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert imported == set(names), sorted(imported ^ set(names))

@@ -128,7 +128,7 @@ def test_rigid_power_random(rng):
 def test_c_star_star_rigid_example():
     st = braid_structure(3)
     css = c_star_star_rigid(parse_word("1", 3))
-    assert css.member_keys() == {parse_word("1", 3).key(), parse_word("2", 3).key()}
+    assert frozenset(css.members) == {parse_word("1", 3), parse_word("2", 3)}
     assert css.kind == "star_star"
     assert css.verify_witnesses()
 
@@ -139,7 +139,7 @@ def test_c_star_star_rigid_members_all_rigid(rng):
         css = c_star_star_rigid(x)
         assert len(css) >= 1
         assert all(is_rigid(m) for m in css.members)
-        assert css.member_keys() <= c_star(x).member_keys()
+        assert frozenset(css.members) <= frozenset(c_star(x).members)
         assert css.verify_witnesses()
 
 
@@ -157,8 +157,8 @@ def test_c_star_star_rigid_against_exhaustive(rng):
                 if (z.inf, z.sup) == (x.inf, x.sup) and z not in seen:
                     seen.add(z)
                     queue.append(z)
-        rigid_conjugates = {z.key() for z in seen if is_rigid(z)}
-        assert c_star_star_rigid(x).member_keys() == rigid_conjugates
+        rigid_conjugates = {z for z in seen if is_rigid(z)}
+        assert frozenset(c_star_star_rigid(x).members) == rigid_conjugates
 
 
 def test_c_star_star_rigid_rejects_non_rigid():

@@ -37,9 +37,9 @@ def test_summit_examples():
     assert c_star(delta_power(st, -3)).members == (delta_power(st, -3),)
 
     x = parse_word("1 1", 3)
-    expect = {x.key(), parse_word("2 2", 3).key()}
+    expect = {x, parse_word("2 2", 3)}
     for fn in (super_summit_set, ultra_summit_set, c_star):
-        assert fn(x).member_keys() == expect
+        assert frozenset(fn(x).members) == expect
 
     cs = c_star(parse_word("2 1 1", 3))
     assert cs.members == (delta_power(st, 1),)
@@ -63,7 +63,7 @@ def test_inclusion_chain(rng):
         star = c_star(x)
         ultra = ultra_summit_set(x)
         sup = super_summit_set(x)
-        assert star.member_keys() <= ultra.member_keys() <= sup.member_keys()
+        assert frozenset(star.members) <= frozenset(ultra.members) <= frozenset(sup.members)
         assert len(star) >= 1
 
 
@@ -94,7 +94,7 @@ def test_conjugacy_invariance(rng):
         x = random_element(rng, n, max_len=3)
         w = normalize(x.struct, 0, [random_simple(rng, n) for _ in range(rng.randint(1, 3))])
         for kind in ("super", "ultra", "star"):
-            assert summit_set(x, kind).member_keys() == summit_set(x.conj(w), kind).member_keys()
+            assert frozenset(summit_set(x, kind).members) == frozenset(summit_set(x.conj(w), kind).members)
 
 
 def test_against_exhaustive_oracle(rng):
@@ -103,7 +103,7 @@ def test_against_exhaustive_oracle(rng):
         st = braid_structure(n)
         x = random_element(rng, n, max_len=3)
         for kind in ("super", "ultra", "star"):
-            assert summit_set(x, kind).member_keys() == summit_members_exhaustive(st, x, kind), (x, kind)
+            assert frozenset(summit_set(x, kind).members) == summit_members_exhaustive(st, x, kind), (x, kind)
 
 
 def test_exhaustive_mode_agrees(rng):
@@ -116,7 +116,7 @@ def test_exhaustive_mode_agrees(rng):
             continue
         st = braid_structure(n)
         for kind in ("super", "ultra", "star"):
-            assert summit_set(x, kind).member_keys() == summit_members_exhaustive(st, x, kind), (x, kind)
+            assert frozenset(summit_set(x, kind).members) == summit_members_exhaustive(st, x, kind), (x, kind)
 
 
 def test_convexity_of_membership(rng):
@@ -130,15 +130,15 @@ def test_convexity_of_membership(rng):
         if len(ss) < 2:
             continue
         y = ss.members[0]
-        keys = ss.member_keys()
+        members = frozenset(ss.members)
         simples = [random_simple(rng, n) for _ in range(6)]
         for a in simples:
             for b in simples:
                 ya = y.conj(simple_element(st, a))
                 yb = y.conj(simple_element(st, b))
-                if ya.key() in keys and yb.key() in keys:
+                if ya in members and yb in members:
                     ym = y.conj(simple_element(st, st.meet(a, b)))
-                    assert ym.key() in keys
+                    assert ym in members
                     checked += 1
         checked += 1
 
@@ -166,7 +166,7 @@ def test_seed_choice_independence(rng):
         x = random_element(rng, 3, max_len=3)
         ss = c_star(x)
         for m in ss.members[: 3]:
-            assert c_star(m).member_keys() == ss.member_keys()
+            assert frozenset(c_star(m).members) == frozenset(ss.members)
 
 
 def test_super_ultra_have_flat_member_sets(rng):
@@ -208,7 +208,7 @@ def test_decide_conjugacy_against_component_oracle():
             elements.append(normalize(st, 0, word))
     fingerprints = {}
     for z in elements:
-        fingerprints[z] = frozenset(c_star(z).member_keys())
+        fingerprints[z] = frozenset(c_star(z).members)
     for i, a in enumerate(elements):
         for b in elements[i + 1:]:
             assert (fingerprints[a] == fingerprints[b]) == (comp[a] == comp[b]), (a, b)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from garside import transport
 from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
@@ -12,20 +13,24 @@ from garside.cycling import (
     cstar_representative,
     in_recurrence_set,
     recurrence_orders,
+    trajectory,
 )
 from garside.summit import c_star, ultra_summit_set
 from garside.transport import (
     OrbitTransport,
     TransportContext,
     minimal_recurrent_conjugator,
-    mu,
-    seed_trajectories,
 )
 
 from conftest import random_element
 from oracles import phi_definitional, pi_definitional
 
 N_INSTANCES = 1100
+
+
+def star_transports(x):
+    """The orbit transports of x at every order of its refined summit set."""
+    return [OrbitTransport(x, q) for q in recurrence_orders("star", x)]
 
 
 def _instances(rng, count, interior_only=False):
@@ -267,7 +272,7 @@ def test_mu_minimality_exhaustive(rng):
         if x.clen == 0:
             continue
         u = simple_element(st, random_simple(rng, n))
-        v = mu(x, u)
+        v = minimal_recurrent_conjugator(star_transports(x), u)
         z = x.conj(v)
         assert u.divides(v)
         assert (z.inf, z.sup) == (x.inf, x.sup)
@@ -289,10 +294,12 @@ def test_mu_trivial_cases(rng):
     for _ in range(40):
         x = cstar_representative(random_element(rng, rng.choice([3, 4]))).element
         st = x.struct
-        assert mu(x, identity_element(st)).is_identity
-        # if x^u is already everywhere-recurrent with summit bounds, mu(u) = u
+        transports = star_transports(x)
+        assert minimal_recurrent_conjugator(transports, identity_element(st)).is_identity
+        # if x^u is already everywhere-recurrent with summit bounds, the
+        # minimal conjugator above u is u
         u = delta_power(st, rng.randint(-1, 1))
-        assert mu(x, u) == u
+        assert minimal_recurrent_conjugator(transports, u) == u
 
 
 def test_shared_orbit_transports_match_fresh(rng):
@@ -306,7 +313,9 @@ def test_shared_orbit_transports_match_fresh(rng):
         if x.clen == 0:
             continue
         for kind in ("ultra", "star"):
-            orders = sorted(set(recurrence_orders(kind, x)))
+            orders = recurrence_orders(kind, x)
+            # the seed step relies on ascending orders without repeats
+            assert all(a < b for a, b in zip(orders, orders[1:])), (x, kind, orders)
             shared = [OrbitTransport(x, q) for q in orders]
             for atom in st.atoms:
                 u = simple_element(st, atom)
@@ -322,11 +331,12 @@ def test_seed_trajectories_on_delta_powers():
     st = braid_structure(3)
     for k in (0, 1, -2):
         x = delta_power(st, k)
-        seeds = seed_trajectories(x)
+        seeds = transport._seed_trajectories(x, "star")
         assert seeds
-        for v, t in seeds:
+        for v, z in seeds:
             assert x.conj(v) == x
-            assert t.members == (x,)
+            assert trajectory(z).members == (x,)
+        assert [t.members for t in c_star(x).trajectories] == [(x,)]
 
 
 def test_seed_trajectories_cardinality_and_coverage(rng):
@@ -334,9 +344,10 @@ def test_seed_trajectories_cardinality_and_coverage(rng):
         n = rng.choice([3, 4])
         st = braid_structure(n)
         x = cstar_representative(random_element(rng, n, max_len=3)).element
-        seeds = seed_trajectories(x)
+        seeds = transport._seed_trajectories(x, "star")
         assert len(seeds) <= len(st.atoms)
-        for v, traj in seeds:
+        for v, z in seeds:
+            traj = trajectory(z)
             assert x.conj(v) == traj.seed
             assert traj.seed in traj.witnesses
 
@@ -344,33 +355,36 @@ def test_seed_trajectories_cardinality_and_coverage(rng):
 def test_seed_trajectories_exclusion_is_safe(rng):
     # dropping the exclusion rule (minimizing every atom) yields a superset
     # of trajectories with the same union of minimal ones
-    from garside.cycling import trajectory as full_trajectory
-
     for _ in range(12):
         n = rng.choice([3, 4])
         st = braid_structure(n)
         x = cstar_representative(random_element(rng, n, max_len=3)).element
         if x.clen == 0:
             continue
-        seeds = seed_trajectories(x)
-        keys_with_rule = {t.key_element for _, t in seeds}
+        seeds = transport._seed_trajectories(x, "star")
+        keys_with_rule = {trajectory(z).key_element for _, z in seeds}
+        transports = star_transports(x)
+
+        def mu(u):
+            return minimal_recurrent_conjugator(transports, u)
+
         all_keys = set()
         for atom in st.atoms:
-            v = mu(x, simple_element(st, atom))
-            all_keys.add(full_trajectory(x.conj(v)).key_element)
+            v = mu(simple_element(st, atom))
+            all_keys.add(trajectory(x.conj(v)).key_element)
         assert keys_with_rule <= all_keys
         # every trajectory reached by a minimal simple conjugator is kept:
         # the survivors cover the dropped atoms' minimal trajectories
         for atom in st.atoms:
-            v = mu(x, simple_element(st, atom))
+            v = mu(simple_element(st, atom))
             if v.clen <= 1 and v.power == 0:  # v simple: a candidate minimal element
                 is_minimal = True
                 for other in st.atoms:
-                    w = mu(x, simple_element(st, other))
+                    w = mu(simple_element(st, other))
                     if w != v and w.divides(v):
                         is_minimal = False
                 if is_minimal:
-                    assert full_trajectory(x.conj(v)).key_element in keys_with_rule
+                    assert trajectory(x.conj(v)).key_element in keys_with_rule
 
 
 class _ContractBraidStructure(BraidStructure):
