@@ -14,7 +14,6 @@ seed; bench emits CSV whose timing columns naturally vary.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys

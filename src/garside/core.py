@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 Simple = Hashable  # opaque handle owned by the structure
 

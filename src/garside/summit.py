@@ -119,6 +119,7 @@ def _summit_closure(
     budget_ms: float | None,
     max_size: int | None,
     rep: WitnessedElement | None,
+    target: CanonicalElement | None = None,
 ) -> SummitSet:
     if rep is None:
         rep = cstar_representative(x)
@@ -140,8 +141,11 @@ def _summit_closure(
             witnesses[member] = conj_to_z * traj.witness(member)
         queue.append(traj.key_element)
 
+    # A membership query only needs to reach its target, so the closure stops
+    # once the target is registered; the LIFO order and the never-overwritten
+    # witnesses make the target's witness the one the full closure assigns.
     register(y0, w0)
-    while queue:
+    while queue and target not in witnesses:
         budget.count()
         y = queue.pop()
         if y.clen == 0:
@@ -150,6 +154,8 @@ def _summit_closure(
         for conj, z in _seed_trajectories(y, kind):
             budget.count()
             register(z, wy * conj)
+            if target in witnesses:
+                break
 
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
     return SummitSet(
@@ -193,16 +199,21 @@ def c_star(x: CanonicalElement, **limits) -> SummitSet:
 def decide_conjugacy(
     x: CanonicalElement,
     y: CanonicalElement,
+    *,
     budget_ms: float | None = None,
     max_size: int | None = None,
 ) -> ConjugacyAnswer:
     """
     Whether x and y are conjugate; when they are, the witness w satisfies
     x^w = y exactly.  Decided by driving y to its refined-summit
-    representative and testing membership in the refined summit set of x.
-    The invariants short-circuit to a negative answer, cheapest first:
-    differing exponent sums before either representative is computed, then
-    differing summit bounds.
+    representative ry and growing the refined summit set of x until ry is
+    reached: the closure stops as soon as it registers ry, so only a
+    negative answer builds the whole set.  ry gets the conjugator the full
+    set would give it, so the witness does not depend on where the closure
+    stopped.  The invariants short-circuit to a negative answer, cheapest
+    first: differing exponent sums before either representative is
+    computed, then differing summit bounds.  The limits are summit_set's
+    and count the partial closure.
     """
     if x.struct != y.struct:
         raise ValueError("elements belong to different structures")
@@ -212,8 +223,8 @@ def decide_conjugacy(
     ry = cstar_representative(y)
     if (rx.element.inf, rx.element.sup) != (ry.element.inf, ry.element.sup):
         return ConjugacyAnswer(False)
-    cs = _summit_closure(x, "star", budget_ms, max_size, rx)
-    if ry.element not in cs.witnesses:
+    reached = _summit_closure(x, "star", budget_ms, max_size, rx, ry.element)
+    if ry.element not in reached.witnesses:
         return ConjugacyAnswer(False)
-    witness = cs.witnesses[ry.element] * ry.witness.inv()
+    witness = reached.witnesses[ry.element] * ry.witness.inv()
     return ConjugacyAnswer(True, witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from garside.braid import BraidStructure, braid_structure
+from garside.braid import BraidStructure
 from garside.core import (
     CanonicalElement,
     delta_power,

@@ -7,17 +7,14 @@ inside the per-criterion runtime budgets on commodity hardware (minutes,
 dominated by the deliberate ultra-summit blowup of criterion 7).
 """
 
-import itertools
 import random
 import sys
 import time
 
-import pytest
-
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.cli.generators import gen_test1, gen_test3
 from garside.core import delta_power, normalize, simple_element
-from garside.cycling import cstar_representative, cyc_q
+from garside.cycling import cyc_q
 from garside.rigid import c_star_star_rigid, is_rigid, rigid_power
 from garside.summit import (
     BudgetExceeded,

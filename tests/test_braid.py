@@ -20,10 +20,10 @@ from garside.braid import (
     random_simple,
     word_str,
 )
-from garside.core import delta_power, normalize, simple_element
+from garside.core import delta_power, simple_element
 
 from conftest import random_element
-from oracles import nontrivial_simples, sweep_join, sweep_meet
+from oracles import sweep_join, sweep_meet
 
 
 def all_simples(n):

@@ -5,8 +5,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from garside.cli.main import main
 
 

@@ -1,12 +1,9 @@
 """Normal-form arithmetic: uniqueness, prefix law, group operations."""
 
-import random
-
 import pytest
 
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import (
-    CanonicalElement,
     delta_power,
     identity_element,
     normalize,

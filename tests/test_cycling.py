@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from garside.braid import braid_structure, parse_word, random_simple
-from garside.core import delta_power, identity_element, normalize, simple_element
+from garside.braid import braid_structure, parse_word
+from garside.core import delta_power, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
     cmn_star_representative,

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from garside.braid import braid_structure, parse_word, random_simple
+from garside.braid import braid_structure, random_simple
 from garside.cli.generators import embed, gen_test1, gen_test2, gen_test3
-from garside.core import identity_element, normalize, simple_element
+from garside.core import identity_element, normalize
 from garside.summit import summit_bounds
 
 
@@ -87,7 +87,7 @@ def test_gen_test2_exponent_sum_additivity():
     n, l = 6, 2
     x = gen_test2(n, l, rng)
     # regenerate the pieces with the same stream to compare
-    from garside.cli.generators import _random_positive_with_summit_sup, _block_crossing
+    from garside.cli.generators import _random_positive_with_summit_sup
 
     rng2 = random.Random(seed)
     b3 = braid_structure(3)

@@ -7,6 +7,7 @@ from pathlib import Path
 import garside
 
 SOURCES = sorted(Path(garside.__file__).parent.rglob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 # private names another module may import: the per-layer benchmark tracer
 # wraps these by name in the module that calls them
@@ -56,3 +57,25 @@ def test_all_lists_every_public_import_once():
         if not (alias.asname or alias.name).startswith("_")
     }
     assert imported == set(names), sorted(imported ^ set(names))
+
+
+def test_no_unused_imports():
+    # a package __init__.py imports to re-export, which
+    # test_all_lists_every_public_import_once checks instead
+    assert SOURCES and TESTS
+    unused = []
+    for path in SOURCES + TESTS:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert not unused, sorted(unused)

@@ -1,14 +1,13 @@
 """Rigidity, stable exponents, rigid powers and the rigid summit set."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from garside.braid import braid_structure, parse_word, random_simple
-from garside.core import delta_power, normalize, simple_element
+from garside.braid import braid_structure, parse_word
+from garside.core import delta_power, simple_element
 from garside.cycling import cyc_q
-from garside.rigid import RigidReport, c_star_star_rigid, is_rigid, rigid_power, stable_exponents
+from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
 from garside.summit import c_star, summit_bounds
 
 from conftest import random_element

@@ -1,17 +1,17 @@
 """Summit sets of all three kinds, conjugacy decisions, budgets."""
 
-import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from garside import cycling
+from garside import cycling, transport
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import cstar_representative, trajectory
 from garside.summit import (
     BudgetExceeded,
-    SummitSet,
     c_star,
     decide_conjugacy,
     summit_bounds,
@@ -247,23 +247,36 @@ def test_summit_set_rejects_misspelt_keywords():
             fn(x, max_sise=0)
         with pytest.raises(TypeError):
             fn(x, None)
+    with pytest.raises(TypeError):
+        decide_conjugacy(x, x, budgetms=0.0)
+    with pytest.raises(TypeError):
+        decide_conjugacy(x, x, max_sise=0)
+    with pytest.raises(TypeError):
+        decide_conjugacy(x, x, None)
 
 
-def test_star_closure_builds_each_trajectory_once(rng, monkeypatch):
-    # count the closures through every garside binding of the function, as
-    # the per-layer tracer does, so a caller in any module is seen
-    original = cycling._closure_trajectory
+def count_calls(monkeypatch, original):
+    """
+    Replace original in every garside module that binds it, as the
+    per-layer tracer does, so a caller in any module is seen; returns the
+    list the first argument of each call is appended to.
+    """
     calls = []
 
-    def counting(seed, kind):
-        calls.append(seed)
-        return original(seed, kind)
+    def counting(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
 
     for name, mod in list(sys.modules.items()):
         if mod is not None and (name == "garside" or name.startswith("garside.")):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+def test_star_closure_builds_each_trajectory_once(rng, monkeypatch):
+    calls = count_calls(monkeypatch, cycling._closure_trajectory)
     sizes = []
     for _ in range(12):
         x = random_element(rng, rng.choice([4, 5]), max_len=3)
@@ -277,3 +290,60 @@ def test_star_closure_builds_each_trajectory_once(rng, monkeypatch):
 def test_structure_mismatch_rejected():
     with pytest.raises(ValueError):
         decide_conjugacy(parse_word("1", 3), parse_word("1", 4))
+
+
+def test_decide_conjugacy_stops_at_the_target(rng, monkeypatch):
+    # when ry lies in the trajectory of rx, the first one the closure builds,
+    # the decision closes that trajectory and runs no seed step, even where
+    # C*(x) has more trajectories and so outgrows a size bound the first meets
+    closures = count_calls(monkeypatch, cycling._closure_trajectory)
+    seed_steps = count_calls(monkeypatch, transport._seed_trajectories)
+    checked = 0
+    for _ in range(100):
+        n = rng.choice([4, 5])
+        x = random_element(rng, n, max_len=3)
+        y = x.conj(random_element(rng, n, max_len=2))
+        rx, ry = cstar_representative(x), cstar_representative(y)
+        first = trajectory(rx.element)
+        if ry.element not in first.members or len(c_star(x).trajectories) == 1:
+            continue
+        closures.clear()
+        seed_steps.clear()
+        ans = decide_conjugacy(x, y)
+        assert ans.conjugate and x.conj(ans.witness) == y
+        assert len(closures) == 1 and seed_steps == [], (x, y)
+        with pytest.raises(BudgetExceeded):
+            c_star(x, max_size=len(first))
+        ans = decide_conjugacy(x, y, max_size=len(first))
+        assert ans.conjugate and x.conj(ans.witness) == y
+        checked += 1
+    assert checked >= 10
+
+
+@hs.composite
+def conjugacy_pairs(draw):
+    """x in B_3..B_8 and y = x^w, or y = x s_i s_j^-1, which keeps the exponent sum."""
+    n = draw(hs.integers(3, 8))
+    rng = draw(hs.randoms(use_true_random=False))
+    x = random_element(rng, n, max_len=3)
+    if draw(hs.booleans()):
+        return x, x.conj(random_element(rng, n, max_len=2))
+    st = braid_structure(n)
+    i, j = draw(hs.integers(0, n - 2)), draw(hs.integers(0, n - 2))
+    return x, x * simple_element(st, st.atoms[i]) * simple_element(st, st.atoms[j]).inv()
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugacy_pairs())
+def test_decide_conjugacy_matches_the_full_closure(pair):
+    # the stopped closure gives the full closure's answer and witness value
+    x, y = pair
+    full = c_star(x)
+    ry = cstar_representative(y)
+    ans = decide_conjugacy(x, y)
+    assert ans.conjugate == (ry.element in full)
+    if ans.conjugate:
+        assert ans.witness == full.witness(ry.element) * ry.witness.inv()
+        assert x.conj(ans.witness) == y
+    else:
+        assert ans.witness is None

@@ -1,7 +1,6 @@
 """Pushforward/pullback identities, the factor-chain calculus, minimal conjugators."""
 
 import itertools
-import random
 
 import pytest
 
