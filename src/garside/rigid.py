@@ -42,13 +42,15 @@ def stable_exponents(x: CanonicalElement) -> tuple[int, int]:
     """
     (N1, N2): denominators of max infs(x^n)/n and min sups(x^n)/n for n up
     to the atom count of D.  Powers of x taken at exponents divisible by N1
-    (resp. N2) scale the summit inf (resp. sup) linearly.
+    (resp. N2) scale the summit inf (resp. sup) linearly.  Each power is
+    the previous one times x, one product per exponent.
     """
     nd = x.struct.delta_norm
     ratios_inf = []
     ratios_sup = []
     for n in range(1, nd + 1):
-        lo, hi = summit_bounds(x ** n)
+        xn = x if n == 1 else xn * x
+        lo, hi = summit_bounds(xn)
         ratios_inf.append(Fraction(lo, n))
         ratios_sup.append(Fraction(hi, n))
     return max(ratios_inf).denominator, min(ratios_sup).denominator

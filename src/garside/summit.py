@@ -40,6 +40,7 @@ from .cycling import (
     _closure_trajectory,
     cstar_representative,
     recurrence_orders,
+    recurrent_representative,
 )
 from .transport import _seed_trajectories
 
@@ -92,8 +93,27 @@ class ConjugacyAnswer:
 
 
 def summit_bounds(x: CanonicalElement) -> tuple[int, int]:
-    """(summit inf, summit sup) of the conjugacy class of x."""
-    y = cstar_representative(x).element
+    """
+    (summit inf, summit sup) of the conjugacy class of x, from two closed
+    orbits.  An element whose inf is below the summit inf raises it within
+    a bounded number of cyclings, and one whose sup is above the summit sup
+    lowers it within a bounded number of decyclings (El-Rifai and Morton,
+    "Algorithms for positive braids", 1994; Birman, Ko and Lee, "The
+    infimum, supremum and geodesic length of a braid conjugacy class",
+    2001).  inf never decreases and sup never increases along an orbit, so
+    an element on a closed orbit of the order-(inf + 1) cycling attains the
+    summit inf, and one on a closed orbit of the order-(sup - 1) cycling
+    attains the summit sup; the second orbit keeps the inf reached by the
+    first.  Each phase re-reads its order whenever the orbit moved the
+    bound it is read from.  Canonical length at most 1 is final already.
+    """
+    y = x
+    for order in (lambda z: z.inf + 1, lambda z: z.sup - 1):
+        while y.clen > 1:
+            q = order(y)
+            y = recurrent_representative(y, q).recurrent_element
+            if order(y) == q:
+                break
     return y.inf, y.sup
 
 

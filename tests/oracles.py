@@ -215,6 +215,17 @@ def conjugation_components(st: BraidStructure, cap: int) -> dict[CanonicalElemen
     return {z: find(i) for z, i in index.items()}
 
 
+def cstar_summit_bounds(x: CanonicalElement) -> tuple[int, int]:
+    """
+    (summit inf, summit sup) read off the refined-summit representative,
+    which is recurrent at every order: the reference for summit_bounds.
+    """
+    from garside.cycling import cstar_representative
+
+    y = cstar_representative(x).element
+    return y.inf, y.sup
+
+
 def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str) -> frozenset:
     """
     Summit sets by definition, as a frozenset of members: search the whole
@@ -223,9 +234,8 @@ def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str
     short elements.
     """
     from garside.cycling import closed_orbit, cstar_representative, cyc, cyc_q
-    from garside.summit import summit_bounds
 
-    lo, hi = summit_bounds(x)
+    lo, hi = cstar_summit_bounds(x)
     seed = cstar_representative(x).element
     box_members = {seed}
     queue = [seed]

@@ -11,7 +11,7 @@ from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_expon
 from garside.summit import c_star, summit_bounds
 
 from conftest import random_element
-from oracles import nontrivial_simples
+from oracles import cstar_summit_bounds, nontrivial_simples
 
 
 def random_rigid(rng, max_n=4, max_len=3):
@@ -93,6 +93,14 @@ def test_stable_exponents_bounds(rng):
         nd = x.struct.delta_norm
         n1, n2 = stable_exponents(x)
         assert 0 < n1 <= nd and 0 < n2 <= nd
+    # the defining maxima, from the refined-summit bounds of every power
+    for _ in range(20):
+        x = random_element(rng, rng.choice([3, 4, 5]), max_len=2)
+        nd = x.struct.delta_norm
+        bounds = [cstar_summit_bounds(x ** n) for n in range(1, nd + 1)]
+        n1 = max(Fraction(lo, n) for n, (lo, _) in enumerate(bounds, 1)).denominator
+        n2 = min(Fraction(hi, n) for n, (_, hi) in enumerate(bounds, 1)).denominator
+        assert stable_exponents(x) == (n1, n2), x
 
 
 def test_rigid_power_on_rigid_inputs(rng):

@@ -10,6 +10,7 @@ from garside import cycling, transport
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import cstar_representative, trajectory
+from garside.rigid import stable_exponents
 from garside.summit import (
     BudgetExceeded,
     c_star,
@@ -21,7 +22,7 @@ from garside.summit import (
 )
 
 from conftest import random_element
-from oracles import conjugation_components, summit_members_exhaustive
+from oracles import conjugation_components, cstar_summit_bounds, summit_members_exhaustive
 
 
 def test_summit_bounds_examples():
@@ -227,6 +228,32 @@ def test_budget_and_size_guards():
         assert e.size > 0
 
 
+@hs.composite
+def summit_bounds_inputs(draw):
+    """
+    Normal forms of B_3..B_8 with power -3..3 and 0..8 factors, conjugates
+    of D-powers, and x^n for n up to the atom count of D, x in B_4..B_7 of
+    canonical length at most 2.
+    """
+    rng = draw(hs.randoms(use_true_random=False))
+    shape = draw(hs.sampled_from(["normal form", "delta conjugate", "power"]))
+    if shape == "power":
+        x = random_element(rng, draw(hs.integers(4, 7)), max_len=2)
+        return x ** draw(hs.integers(1, x.struct.delta_norm))
+    n = draw(hs.integers(3, 8))
+    st = braid_structure(n)
+    power = draw(hs.integers(-3, 3))
+    if shape == "delta conjugate":
+        return delta_power(st, power).conj(random_element(rng, n, max_len=3))
+    return normalize(st, power, [random_simple(rng, n) for _ in range(draw(hs.integers(0, 8)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(summit_bounds_inputs())
+def test_summit_bounds_matches_the_refined_representative(x):
+    assert summit_bounds(x) == cstar_summit_bounds(x), x
+
+
 def test_summit_set_kind_validation():
     with pytest.raises(ValueError):
         summit_set(parse_word("1", 3), "mega")
@@ -285,6 +312,16 @@ def test_star_closure_builds_each_trajectory_once(rng, monkeypatch):
         assert len(calls) == len(ss.trajectories), x
         sizes.append(len(ss.trajectories))
     assert max(sizes) > 1
+
+
+def test_summit_bounds_builds_no_refined_representative(rng, monkeypatch):
+    # the bounds need two closed orbits, not a recurrent-at-every-order sweep
+    calls = count_calls(monkeypatch, cycling.cstar_representative)
+    for _ in range(10):
+        x = random_element(rng, rng.choice([4, 5, 6]), max_len=3)
+        summit_bounds(x)
+        stable_exponents(x)
+    assert calls == []
 
 
 def test_structure_mismatch_rejected():
