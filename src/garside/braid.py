@@ -202,9 +202,6 @@ class BraidStructure(GarsideStructure):
             cached = _remember(self._join_cache, key, tuple(m - v for v in c))
         return cached
 
-    def simple_divides(self, a: PermSimple, b: PermSimple) -> bool:
-        return self.norm(a) + self.norm(self.left_quotient(a, b)) == self.norm(b)
-
     def atom_divides(self, k: int, a: PermSimple) -> bool:
         """Whether the atom s_{k+1} left-divides the simple a."""
         return a[k] > a[k + 1]

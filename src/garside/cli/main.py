@@ -140,7 +140,7 @@ def cmd_rigid(args) -> int:
     payload = {"rigid": rigid}
     lines = [f"rigid: {'true' if rigid else 'false'}"]
     if rigid and args.conjugates:
-        css = c_star_star_rigid(x)
+        css = c_star_star_rigid(x, budget_ms=args.budget_ms, max_size=args.max_size)
         payload["rigid_conjugates"] = [word_str(m) for m in css.members]
         lines.append(f"rigid conjugates: {len(css)}")
         lines += [f"  {word_str(m)}" for m in css.members]
@@ -149,11 +149,6 @@ def cmd_rigid(args) -> int:
 
 
 def cmd_rigid_power(args) -> int:
-    if args.n > 6:
-        raise WordError(
-            "rigid-power evaluates summit bounds of ||D|| powers; "
-            "that is capped at n <= 6 (use the library API beyond)"
-        )
     x = parse_word(args.word, args.n)
     report = rigid_power(x)
     n1, n2 = report.exponents

@@ -81,13 +81,10 @@ class GarsideStructure(abc.ABC):
     def is_delta(self, a: Simple) -> bool:
         return a == self.delta
 
-    def simple_divides(self, a: Simple, b: Simple) -> bool:
-        """Whether a left-divides b within the lattice of simples."""
-        return self.meet(a, b) == a
-
     def atom_divides(self, k: int, a: Simple) -> bool:
         """Whether the k-th atom left-divides the simple a."""
-        return self.simple_divides(self.atoms[k], a)
+        atom = self.atoms[k]
+        return self.meet(atom, a) == atom
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,15 +137,16 @@ class CanonicalElement:
         return CanonicalElement(s, self.power + other.power + dp, factors)
 
     def inv(self) -> "CanonicalElement":
-        # (D^p x_1...x_l)^{-1} = rc(x_l) tau(rc(x_{l-1})) ... tau^{l-1}(rc(x_1)) D^{-l-p}
-        # and the resulting word is already left-weighted; normalizing is a
-        # cheap no-op pass kept for safety.  Moving D^{-l-p} to the front
-        # applies tau^q to every letter, so letter i takes tau^{i+q} in all.
+        # (D^p x_1...x_l)^{-1} = rc(x_l) tau(rc(x_{l-1})) ... tau^{l-1}(rc(x_1)) D^{-l-p},
+        # and the word is already left-weighted with no identity or D letter
+        # (El-Rifai and Morton 1994; Epstein et al., ch. 9).  Moving D^{-l-p}
+        # to the front applies tau^q to every letter, so letter i takes
+        # tau^{i+q} in all.
         s = self.struct
         p, fs = self.power, self.factors
         q = -(p + len(fs))
-        word = [s.tau_pow(s.right_complement(fs[-1 - i]), i + q) for i in range(len(fs))]
-        return normalize(s, q, word)
+        word = tuple(s.tau_pow(s.right_complement(fs[-1 - i]), i + q) for i in range(len(fs)))
+        return CanonicalElement(s, q, word)
 
     def __pow__(self, exp: int) -> "CanonicalElement":
         if exp == 1:

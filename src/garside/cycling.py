@@ -175,9 +175,11 @@ def cstar_representative(x: CanonicalElement) -> WitnessedElement:
 class Trajectory:
     """
     A finite set of elements closed under tau and under the cycling orders
-    used to build it, with conjugators back to the seed element and a
-    canonical representative (the member minimal under the (power, factor
-    tables) order) used for deduplication.
+    used to build it, with a canonical representative (the member minimal
+    under the (power, factor tables) order) used for deduplication.  Each
+    witness u satisfies b^u = member for one start element b: the seed
+    itself for trajectory(x), the set's base for a summit set's
+    trajectories.
     """
 
     seed: CanonicalElement
@@ -187,10 +189,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def witness(self, y: CanonicalElement) -> CanonicalElement:
-        """Conjugator u with seed^u = y."""
-        return self.witnesses[y]
 
 
 def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
@@ -210,19 +208,21 @@ def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
     raise ValueError(f"unknown summit kind {kind!r}")
 
 
-def _closure_trajectory(seed: CanonicalElement, kind: str) -> Trajectory:
+def _closure_trajectory(seed: CanonicalElement, kind: str, conj: CanonicalElement) -> Trajectory:
     """
     Worklist closure of the tau-orbit of seed under the interior recurrence
-    orders of the given summit kind.  All members must keep the seed's
-    (inf, sup), so the orders are read once off the seed; a drift means the
-    seed was not recurrent at some order, which is reported as an error.
+    orders of the given summit kind.  conj carries the start element of the
+    witnesses to seed, so each member's witness is one product.  All
+    members must keep the seed's (inf, sup), so the orders are read once
+    off the seed; a drift means the seed was not recurrent at some order,
+    which is reported as an error.
     """
     s = seed.struct
     bounds = (seed.inf, seed.sup)
     interior = [q for q in recurrence_orders(kind, seed) if seed.inf < q < seed.sup]
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     queue: list[CanonicalElement] = []
-    cur, w = seed, identity_element(s)
+    cur, w = seed, conj
     for _ in range(s.order_of_tau):
         if cur not in witnesses:
             witnesses[cur] = w
@@ -250,9 +250,10 @@ def trajectory(x: CanonicalElement) -> Trajectory:
     """
     The full cycling trajectory of x: closure of the tau-orbit under every
     interior cycling order.  The caller must supply an element recurrent at
-    every order (as produced by cstar_representative).
+    every order (as produced by cstar_representative).  The witnesses
+    start from x.
     """
-    return _closure_trajectory(x, "star")
+    return _closure_trajectory(x, "star", identity_element(x.struct))
 
 
 def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedElement:

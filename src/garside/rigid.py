@@ -93,15 +93,15 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     return RigidReport(True, (n1, n2), power=n, rigid_conjugate=y, witness=wit)
 
 
-def c_star_star_rigid(x: CanonicalElement) -> SummitSet:
+def c_star_star_rigid(x: CanonicalElement, **limits) -> SummitSet:
     """
     For rigid x, the conjugates recurrent at every double order: the super
     summit set filtered by order-(2, inf+sup) recurrence.  Every member is
-    rigid.
+    rigid.  The limits are summit_set's and bound the super summit set.
     """
     if not is_rigid(x):
         raise ValueError("input element is not rigid")
-    ss = super_summit_set(x)
+    ss = super_summit_set(x, **limits)
     qbar = x.inf + x.sup
     members = tuple(y for y in ss.members if in_recurrence_set(y, qbar, p=2))
     witnesses = {y: ss.witnesses[y] for y in members}

@@ -79,9 +79,6 @@ class SummitSet:
     def __contains__(self, y: CanonicalElement) -> bool:
         return y in self.witnesses
 
-    def witness(self, y: CanonicalElement) -> CanonicalElement:
-        return self.witnesses[y]
-
     def verify_witnesses(self) -> bool:
         return all(self.base.conj(w) == y for y, w in self.witnesses.items())
 
@@ -154,11 +151,10 @@ def _summit_closure(
         # trajectories partition the set, so a known z means a known trajectory
         if z in witnesses:
             return
-        traj = _closure_trajectory(z, kind)
+        traj = _closure_trajectory(z, kind, conj_to_z)
         trajectories.append(traj)
         budget.count(len(traj))
-        for member in traj.members:
-            witnesses[member] = conj_to_z * traj.witness(member)
+        witnesses.update(traj.witnesses)
         queue.append(traj.key_element)
 
     # A membership query only needs to reach its target, so the closure stops

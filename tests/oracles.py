@@ -37,6 +37,11 @@ def assert_normal_form(x: CanonicalElement) -> None:
             raise AssertionError("adjacent factors not left-weighted")
 
 
+def simple_divides(st: BraidStructure, a, b) -> bool:
+    """Whether the simple a left-divides the simple b: their norms add up."""
+    return st.norm(a) + st.norm(st.left_quotient(a, b)) == st.norm(b)
+
+
 def first_factor(x: CanonicalElement):
     """x /\\ D as a simple table; x must be positive."""
     s = x.struct

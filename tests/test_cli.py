@@ -5,7 +5,9 @@ import json
 import subprocess
 import sys
 
+from garside.braid import parse_word
 from garside.cli.main import main
+from garside.rigid import is_rigid
 
 
 def run_cli(*argv, env_seed=None):
@@ -114,8 +116,28 @@ def test_rigid_commands():
     r = run_cli("rigid-power", "--n", "3", "1", "--json")
     out = json.loads(r.stdout)
     assert out["rigid"] is True and out["power"] >= 1
-    r = run_cli("rigid-power", "--n", "7", "1")
-    assert r.returncode == 2  # capped strand count
+    # no strand cap: B_7, with a power and a nontrivial witness
+    word = "1 3 1 4 2"
+    r = run_cli("rigid-power", "--n", "7", word, "--json")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["rigid"] is True and out["power"] == 2
+    witness = parse_word(out["witness"], 7)
+    assert not witness.is_identity
+    rigid_conjugate = parse_word(out["rigid_conjugate"]["word"], 7)
+    assert (parse_word(word, 7) ** out["power"]).conj(witness) == rigid_conjugate
+    assert is_rigid(rigid_conjugate)
+
+
+def test_rigid_conjugates_honour_the_limits():
+    r = run_cli("rigid", "--n", "3", "1", "--conjugates", "--max-size", "1")
+    assert r.returncode == 3
+    assert "aborted" in r.stderr
+    r = run_cli("rigid", "--n", "3", "1", "--conjugates", "--budget-ms", "0")
+    assert r.returncode == 3
+    r = run_cli("rigid", "--n", "3", "1", "--conjugates", "--max-size", "2", "--json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rigid_conjugates"] == ["2", "1"]
 
 
 def test_input_error_exit_code():

@@ -1,6 +1,8 @@
 """Normal-form arithmetic: uniqueness, prefix law, group operations."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import (
@@ -79,6 +81,32 @@ def test_invert_roundtrip(rng):
         assert (a * a.inv()).is_identity
         assert (a.inv() * a).is_identity
         assert a.inv().inv() == a
+
+
+@hs.composite
+def normal_forms(draw):
+    """Normal forms of B_2..B_9 with power -4..4 and 0..8 random simples."""
+    n = draw(hs.integers(2, 9))
+    rng = draw(hs.randoms(use_true_random=False))
+    word = [random_simple(rng, n) for _ in range(draw(hs.integers(0, 8)))]
+    return normalize(braid_structure(n), draw(hs.integers(-4, 4)), word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_forms())
+@example(identity_element(braid_structure(4)))
+@example(delta_power(braid_structure(5), 3))
+@example(delta_power(braid_structure(2), -1))
+def test_inverse_needs_no_normalization(x):
+    # inv returns the word rc(x_l) tau(rc(x_{l-1})) ... D^{-l-p} as it
+    # builds it; normalize of that word is the oracle
+    s = x.struct
+    q = -(x.power + x.clen)
+    word = [s.tau_pow(s.right_complement(f), i + q) for i, f in enumerate(reversed(x.factors))]
+    y = x.inv()
+    assert y == normalize(s, q, word)
+    assert_normal_form(y)
+    assert (x * y).is_identity
 
 
 def test_conjugate_examples():

@@ -1,5 +1,7 @@
 """Summit sets of all three kinds, conjugacy decisions, budgets."""
 
+import hashlib
+import random
 import sys
 
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as hs
 
 from garside import cycling, transport
 from garside.braid import braid_structure, parse_word, random_simple
+from garside.cli.generators import gen_test1, gen_test3
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import cstar_representative, trajectory
-from garside.rigid import stable_exponents
+from garside.rigid import c_star_star_rigid, is_rigid, stable_exponents
 from garside.summit import (
     BudgetExceeded,
     c_star,
@@ -170,6 +173,41 @@ def test_seed_choice_independence(rng):
             assert frozenset(c_star(m).members) == frozenset(ss.members)
 
 
+def test_star_trajectories_share_the_set_witnesses(rng):
+    # each witness is built once, from the base, and the set keeps that object
+    for _ in range(10):
+        x = random_element(rng, rng.choice([4, 5]), max_len=3)
+        ss = c_star(x)
+        for t in ss.trajectories:
+            assert set(t.witnesses) == set(t.members)
+            for m in t.members:
+                assert t.witnesses[m] is ss.witnesses[m]
+
+
+def test_witnesses_are_pinned():
+    # every (member, witness) pair of the super (n <= 5), ultra and C* sets
+    # of 40 seeded inputs, and a decide_conjugacy witness for each; the
+    # digest pins the values the LIFO closure assigns
+    rng = random.Random(20261018)
+    inputs = [gen_test1(5, 3, rng) for _ in range(16)]
+    inputs += [gen_test3(n, 3, rng) for n in (4, 5, 6) for _ in range(8)]
+    h = hashlib.sha256()
+    pairs = 0
+    for x in inputs:
+        n = x.struct.n
+        for kind in ("super", "ultra", "star") if n <= 5 else ("ultra", "star"):
+            ss = summit_set(x, kind)
+            for m in ss.members:
+                w = ss.witnesses[m]
+                h.update(repr((kind, m.power, m.factors, w.power, w.factors)).encode())
+                pairs += 1
+        w = normalize(x.struct, rng.randint(-1, 1), [random_simple(rng, n) for _ in range(rng.randint(1, 3))])
+        ans = decide_conjugacy(x, x.conj(w))
+        h.update(repr((ans.witness.power, ans.witness.factors)).encode())
+    assert pairs == 2928
+    assert h.hexdigest()[:16] == "7dae2a1244fd652c"
+
+
 def test_super_ultra_have_flat_member_sets(rng):
     x = random_element(rng, 3, max_len=3)
     assert super_summit_set(x).trajectories is None
@@ -261,13 +299,14 @@ def test_summit_set_kind_validation():
 
 def test_summit_set_rejects_misspelt_keywords():
     x = parse_word("1 1", 3)
+    assert is_rigid(x)  # c_star_star_rigid reads its limits only on rigid input
     with pytest.raises(TypeError):
         summit_set(x, "star", budgetms=0.0)
     with pytest.raises(TypeError):
         summit_set(x, "star", max_sise=0)
     with pytest.raises(TypeError):
         summit_set(x, "star", None)  # the limits are keyword-only
-    for fn in (super_summit_set, ultra_summit_set, c_star):
+    for fn in (super_summit_set, ultra_summit_set, c_star, c_star_star_rigid):
         with pytest.raises(TypeError):
             fn(x, budgetms=0.0)
         with pytest.raises(TypeError):
@@ -380,7 +419,7 @@ def test_decide_conjugacy_matches_the_full_closure(pair):
     ans = decide_conjugacy(x, y)
     assert ans.conjugate == (ry.element in full)
     if ans.conjugate:
-        assert ans.witness == full.witness(ry.element) * ry.witness.inv()
+        assert ans.witness == full.witnesses[ry.element] * ry.witness.inv()
         assert x.conj(ans.witness) == y
     else:
         assert ans.witness is None
