@@ -10,8 +10,10 @@ homomorphism when braid words are read left to right.
 Divisibility matches the weak order on permutations: a left-divides b
 exactly when the inversion set of a is contained in that of b, and an atom
 s_k left-divides a simple exactly when its table has a descent at k.  The
-meet is computed by a greedy common-descent sweep and the join via the
-inversion-complementing involution p |-> w0 o p.
+meet is computed by a greedy common-descent sweep, and the join as the
+transitive closure of the union of the two inversion sets, held as one
+bitset row per position.  Each is the faster of the two algorithms for its
+operation in CPython (figures in their docstrings).
 
 The normal-form, cycling and transport layers ask for the same few
 thousand meets and joins over and over, so each structure memoises them
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Sequence
 
 from .core import CanonicalElement, GarsideStructure, normalize
 
@@ -137,8 +138,14 @@ class BraidStructure(GarsideStructure):
         Two replacements for the sweep were measured per distinct call on
         recorded B_20 workload arguments and rejected as no faster in
         CPython: a suffix-minimum merge-sort meet (Epstein et al., Word
-        Processing in Groups, ch. 9) at 51.4 us against 38.6 us, and a
-        bitset transitive-closure meet at 34.8 us against 35.3 us.
+        Processing in Groups, ch. 9) at 51.4 us against 38.6 us, and the
+        bitset closure of _join run on the complementary (non-inversion)
+        rows.  Unlike the join's, the sweep's cost is the length of the
+        meet, which is short: on the 4,252 meets of the traced seed-3
+        generic-b20 prefix the bitset meet took 26.3 us against 18.0 us
+        (medians of seven passes, Python 3.11.7, two shared vCPUs), and it
+        also lost at n = 5 (7.7 us against 5.1 us) and n = 6 - 10 (13.8 us
+        against 7.2 us).
         """
         if a == b or b == self.delta:
             return a
@@ -152,7 +159,7 @@ class BraidStructure(GarsideStructure):
             cached = _remember(self._meet_cache, key, self._meet(a, b))
         return cached
 
-    def _meet(self, a: Sequence[int], b: Sequence[int]) -> PermSimple:
+    def _meet(self, a: PermSimple, b: PermSimple) -> PermSimple:
         """
         Left gcd by the greedy sweep: repeatedly strip an atom that
         left-divides both quotients, i.e. a position where both tables
@@ -185,7 +192,8 @@ class BraidStructure(GarsideStructure):
         """
         Left lcm, memoised like meet.  Identity arguments, answered first,
         took 28% of the sweep time over the distinct joins of the same
-        B_20 workload.
+        B_20 workload.  Everything else goes through the memo to the
+        bitset closure _join.
         """
         if a == b or b == self.identity:
             return a
@@ -196,11 +204,48 @@ class BraidStructure(GarsideStructure):
         key = (a, b)
         cached = self._join_cache.get(key)
         if cached is None:
-            # w0 o p complements the inversion set, turning joins into meets.
-            m = self.n - 1
-            c = self._meet([m - v for v in a], [m - v for v in b])
-            cached = _remember(self._join_cache, key, tuple(m - v for v in c))
+            cached = _remember(self._join_cache, key, self._join(a, b))
         return cached
+
+    def _join(self, a: PermSimple, b: PermSimple) -> PermSimple:
+        """
+        Left lcm as the transitive closure of the union of the two
+        inversion sets (Bjorner and Brenti, Combinatorics of Coxeter
+        Groups, 2005, ch. 3).  rows[i] holds, as bits, the later positions
+        j whose value is smaller than the one at i; each argument's rows
+        are built in one pass over its inverse table, i.e. over positions
+        in increasing order of value.  The rows are closed from the last
+        position down, each OR-ing in the closed rows of its own bits from
+        the lowest up and skipping bits already covered, and the table is
+        read back from the row sizes, which form its Lehmer code.
+
+        The closure costs about n big-int operations however long the
+        join is, where the meet sweep on complemented tables (w0 o p
+        complements an inversion set) pays one adjacent swap per inversion
+        missing from the join, on average 80 of the 190 in B_20.  On the
+        7,041 joins of the traced seed-3 generic-b20 prefix it took 26.8 us
+        against 54.5 us (medians of seven passes, Python 3.11.7, two shared
+        vCPUs), and it also won at n = 5 (7.2 us against 9.7 us) and
+        n = 6 - 10 (13.1 us against 19.2 us).  The complemented sweep is
+        kept as the test oracle sweep_join.
+        """
+        n = self.n
+        rows = [0] * n
+        for inv in (self.inverse_table(a), self.inverse_table(b)):
+            smaller = 0  # positions of the values seen so far
+            for p in inv:
+                rows[p] |= smaller >> p << p
+                smaller |= 1 << p
+        for i in range(n - 2, -1, -1):
+            row = todo = rows[i]
+            while todo:
+                low = todo & -todo
+                closed = rows[low.bit_length() - 1]
+                row |= closed
+                todo &= ~(closed | low)
+            rows[i] = row
+        avail = list(range(n))
+        return tuple([avail.pop(row.bit_count()) for row in rows])
 
     def atom_divides(self, k: int, a: PermSimple) -> bool:
         """Whether the atom s_{k+1} left-divides the simple a."""

@@ -203,11 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, required=True, help="strand count")
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (fallback: env GARSIDE_SEED, then 0)")
-    common.add_argument("--budget-ms", type=float, default=None, dest="budget_ms",
-                        help="wall-clock budget per computation in ms")
-    common.add_argument("--max-size", type=int, default=None, dest="max_size",
-                        help="abort summit computations beyond this many members")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+
+    # only the commands that build summit sets honour these
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--budget-ms", type=float, default=None, dest="budget_ms",
+                        help="wall-clock budget per computation in ms")
+    limits.add_argument("--max-size", type=int, default=None, dest="max_size",
+                        help="abort summit computations beyond this many members")
 
     p = sub.add_parser("nf", parents=[common], help="left normal form of a word")
     p.add_argument("word")
@@ -220,17 +223,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(fn=cmd_cyc)
 
-    p = sub.add_parser("summit", parents=[common], help="summit-set computation")
+    p = sub.add_parser("summit", parents=[common, limits], help="summit-set computation")
     p.add_argument("--kind", choices=("super", "ultra", "star"), default="star")
     p.add_argument("word")
     p.set_defaults(fn=cmd_summit)
 
-    p = sub.add_parser("conj", parents=[common], help="decide conjugacy with witness")
+    p = sub.add_parser("conj", parents=[common, limits], help="decide conjugacy with witness")
     p.add_argument("word")
     p.add_argument("word2")
     p.set_defaults(fn=cmd_conj)
 
-    p = sub.add_parser("rigid", parents=[common], help="rigidity test")
+    p = sub.add_parser("rigid", parents=[common, limits], help="rigidity test")
     p.add_argument("--conjugates", action="store_true",
                    help="also list the rigid conjugates (rigid input only)")
     p.add_argument("word")
@@ -246,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True, help="target length parameter")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common], help="benchmark harness (CSV)")
+    p = sub.add_parser("bench", parents=[common, limits], help="benchmark harness (CSV)")
     p.add_argument("--test", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)

@@ -177,12 +177,10 @@ class Trajectory:
     A finite set of elements closed under tau and under the cycling orders
     used to build it, with a canonical representative (the member minimal
     under the (power, factor tables) order) used for deduplication.  Each
-    witness u satisfies b^u = member for one start element b: the seed
-    itself for trajectory(x), the set's base for a summit set's
-    trajectories.
+    witness u satisfies b^u = member for one start element b: x itself
+    for trajectory(x), the set's base for a summit set's trajectories.
     """
 
-    seed: CanonicalElement
     members: tuple[CanonicalElement, ...]
     key_element: CanonicalElement
     witnesses: Mapping[CanonicalElement, CanonicalElement]
@@ -243,7 +241,7 @@ def _closure_trajectory(seed: CanonicalElement, kind: str, conj: CanonicalElemen
                 witnesses[z] = wy * c
                 queue.append(z)
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
-    return Trajectory(seed, members, members[0], witnesses)
+    return Trajectory(members, members[0], witnesses)
 
 
 def trajectory(x: CanonicalElement) -> Trajectory:

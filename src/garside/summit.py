@@ -148,9 +148,6 @@ def _summit_closure(
     queue: list[CanonicalElement] = []
 
     def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:
-        # trajectories partition the set, so a known z means a known trajectory
-        if z in witnesses:
-            return
         traj = _closure_trajectory(z, kind, conj_to_z)
         trajectories.append(traj)
         budget.count(len(traj))
@@ -169,9 +166,12 @@ def _summit_closure(
         wy = witnesses[y]
         for conj, z in _seed_trajectories(y, kind):
             budget.count()
-            register(z, wy * conj)
-            if target in witnesses:
-                break
+            # trajectories partition the set, so a known z means a known
+            # trajectory, and its conjugator is only multiplied out when new
+            if z not in witnesses:
+                register(z, wy * conj)
+                if target in witnesses:
+                    break
 
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
     return SummitSet(

@@ -145,7 +145,10 @@ def sweep_meet(a: tuple, b: tuple) -> tuple:
 
 
 def sweep_join(a: tuple, b: tuple) -> tuple:
-    """Left lcm of two permutation tables through the sweep meet."""
+    """
+    Left lcm of two permutation tables through the sweep meet on
+    complemented tables: the reference for the lattice kernel's bitset join.
+    """
     # w0 o p complements the inversion set, turning joins into meets.
     m = len(a) - 1
     ca = tuple(m - v for v in a)

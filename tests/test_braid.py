@@ -107,6 +107,16 @@ def test_meet_join_match_sweep_oracle(args):
         assert st.join(a, b) == j
 
 
+def test_meet_join_match_sweep_oracle_exhaustive_b5():
+    # every pair of B_5, so every shape of bit row the join closes occurs
+    st = BraidStructure(5)  # not the interned structure: caches start empty
+    simples = all_simples(5)
+    for a in simples:
+        for b in simples:
+            assert st.meet(a, b) == sweep_meet(a, b)
+            assert st.join(a, b) == sweep_join(a, b)
+
+
 def _drive_kernel(st, pairs):
     for a, b in pairs:
         st.meet(a, b)

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from garside.braid import parse_word
 from garside.cli.main import main
 from garside.rigid import is_rigid
@@ -151,6 +153,28 @@ def test_budget_exit_code():
     r = run_cli("summit", "--kind", "ultra", "--n", "3", "1 1", "--max-size", "1")
     assert r.returncode == 3
     assert "aborted" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "--n", "3", "1"],
+    ["cyc", "--n", "3", "1 1"],
+    ["rigid-power", "--n", "3", "1 1"],
+    ["gen", "--test", "3", "--n", "4", "--l", "2"],
+])
+@pytest.mark.parametrize("limit", [["--budget-ms", "1000"], ["--max-size", "10"]])
+def test_limits_rejected_where_not_honoured(argv, limit, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + limit)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(limit)}" in capsys.readouterr().err
+
+
+def test_conj_honours_the_limits():
+    assert run_cli("conj", "--n", "3", "1 1", "2 2", "--max-size", "1").returncode == 3
+    r = run_cli("conj", "--n", "3", "1 1", "2 2", "--max-size", "2", "--budget-ms", "60000")
+    assert r.returncode == 0
 
 
 def test_gen_seed_and_env_fallback():

@@ -235,7 +235,7 @@ def test_trajectory_examples():
     assert {m.key() for m in t.members} >= {x.key(), parse_word("2 2", 3).key()}
     assert len({(m.inf, m.sup) for m in t.members}) == 1
     for m in t.members:
-        assert t.seed.conj(t.witnesses[m]) == m
+        assert x.conj(t.witnesses[m]) == m
     assert t.key_element == min(t.members, key=lambda m: m.key())
 
 
