@@ -22,6 +22,12 @@ _CACHE_CAP entries.  A table that outgrows the cap is cleared whole, which
 bounds the memory of a long-lived process; under threads a clear that
 races with another call only costs that call a recomputation.  Meets and
 joins with D, the identity or equal arguments are answered before the memo.
+
+One level up, the steps of core.GarsideStructure (the transport chains'
+a-, b-, v- and w-steps and the normal form's slide) are memoised the same
+way, one table each keyed by the (factor, argument) pair, so a step that
+recurs costs one dict lookup instead of its chain of two to nine kernel
+calls, and the kernel memos are reached only on a step miss.
 """
 
 from __future__ import annotations
@@ -34,10 +40,17 @@ from .core import CanonicalElement, GarsideStructure, normalize
 # A simple element of B_n: the image table of a permutation of {0..n-1}.
 PermSimple = tuple[int, ...]
 
-# Entries per memo table.  For the ultra and C* sets of 30 test-3 braids of
-# B_20 (l=5), 82,908 meet calls needed 13,105 sweeps with unbounded tables
-# and 13,886 with this cap, at a peak RSS of 24.6 MB against 19.5 MB
-# (16.5 MB with no memo; Python 3.11.7).
+# Entries per memo table, kernel and step tables alike.  For the ultra and
+# C* sets of 30 test-3 braids of B_20 (l=5), 82,908 meet calls needed 13,105
+# sweeps with unbounded tables and 13,886 with this cap, at a peak RSS of
+# 24.6 MB against 19.5 MB (16.5 MB with no memo; Python 3.11.7).  On the
+# first pass over the fixed operation prefixes of the three benchmark
+# workloads (seed 3), unbounded step tables end with 305 - 5,168 entries for
+# the transport steps and up to 17,602 for slide (B_10 queries).  With this
+# cap the same prefixes make at most 1% more kernel calls than with
+# unbounded tables (81,261 against 80,484 in B_20, 246,572 against 244,650
+# on the queries), while a cap of 8,192 took the peak RSS of the B_20
+# prefix from 24.7 to 31.0 MB.
 _CACHE_CAP = 2048
 
 
@@ -61,12 +74,18 @@ class BraidStructure(GarsideStructure):
         self.atoms = tuple(self._transposition(k) for k in range(n - 1))
         self.order_of_tau = 1 if n == 2 else 2
         self.delta_norm = n * (n - 1) // 2
+        self._values = frozenset(range(n))
         self._inv_cache: dict[PermSimple, PermSimple] = {}
         self._rc_cache: dict[PermSimple, PermSimple] = {}
         self._tau_cache: dict[PermSimple, PermSimple] = {}
         self._norm_cache: dict[PermSimple, int] = {}
         self._meet_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
         self._join_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
+        self._a_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
+        self._b_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
+        self._v_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
+        self._w_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
+        self._slide_cache: dict[tuple[PermSimple, PermSimple], tuple[PermSimple, PermSimple]] = {}
 
     def _transposition(self, k: int) -> PermSimple:
         t = list(range(self.n))
@@ -250,6 +269,59 @@ class BraidStructure(GarsideStructure):
     def atom_divides(self, k: int, a: PermSimple) -> bool:
         """Whether the atom s_{k+1} left-divides the simple a."""
         return a[k] > a[k + 1]
+
+    def is_simple(self, a: object) -> bool:
+        """Whether a is a tuple of ints that permutes range(n)."""
+        try:
+            # an unhashable entry raises TypeError, and a float equal to an
+            # int passes the set test but makes the sum a float
+            return (
+                isinstance(a, tuple)
+                and len(a) == self.n
+                and set(a) == self._values
+                and type(sum(a)) is int
+            )
+        except TypeError:
+            return False
+
+    # -- memoised steps ------------------------------------------------------
+    # The generic steps, each memoised on its (factor, argument) pair, so the
+    # kernel calls above are only made on a miss.
+
+    def a_step(self, x: PermSimple, a: PermSimple) -> PermSimple:
+        key = (x, a)
+        cached = self._a_cache.get(key)
+        if cached is None:
+            cached = _remember(self._a_cache, key, super().a_step(x, a))
+        return cached
+
+    def b_step(self, x: PermSimple, b: PermSimple) -> PermSimple:
+        key = (x, b)
+        cached = self._b_cache.get(key)
+        if cached is None:
+            cached = _remember(self._b_cache, key, super().b_step(x, b))
+        return cached
+
+    def v_step(self, x: PermSimple, v: PermSimple) -> PermSimple:
+        key = (x, v)
+        cached = self._v_cache.get(key)
+        if cached is None:
+            cached = _remember(self._v_cache, key, super().v_step(x, v))
+        return cached
+
+    def w_step(self, x: PermSimple, w: PermSimple) -> PermSimple:
+        key = (x, w)
+        cached = self._w_cache.get(key)
+        if cached is None:
+            cached = _remember(self._w_cache, key, super().w_step(x, w))
+        return cached
+
+    def slide(self, a: PermSimple, b: PermSimple) -> tuple[PermSimple, PermSimple]:
+        key = (a, b)
+        cached = self._slide_cache.get(key)
+        if cached is None:
+            cached = _remember(self._slide_cache, key, super().slide(a, b))
+        return cached
 
     # -- conversions -------------------------------------------------------
 

@@ -70,6 +70,10 @@ class GarsideStructure(abc.ABC):
     def norm(self, a: Simple) -> int:
         """Number of atoms in any atom decomposition of the simple."""
 
+    @abc.abstractmethod
+    def is_simple(self, a: object) -> bool:
+        """Whether a is a handle of a simple element of this structure."""
+
     def tau_pow(self, a: Simple, k: int) -> Simple:
         for _ in range(k % self.order_of_tau):
             a = self.tau(a)
@@ -86,6 +90,48 @@ class GarsideStructure(abc.ABC):
         atom = self.atoms[k]
         return self.meet(atom, a) == atom
 
+    # -- steps --------------------------------------------------------------
+    # The normal form and the transport chains (transport.py) move one
+    # factor x at a time, so each of their steps is a function of a pair of
+    # simples.  The defaults compute a step from the lattice operations; a
+    # structure may memoise them.  a\b = a^{-1} (a \/ b) is the residual of
+    # Dehornoy et al., Foundations of Garside Theory (2015).
+
+    def a_step(self, x: Simple, a: Simple) -> Simple:
+        """rc((x /\\ a)^{-1} x)."""
+        return self.right_complement(self.left_quotient(self.meet(x, a), x))
+
+    def b_step(self, x: Simple, b: Simple) -> Simple:
+        """x (rc(x) /\\ b)."""
+        return self.mul(x, self.meet(self.right_complement(x), b))
+
+    def v_step(self, x: Simple, v: Simple) -> Simple:
+        """
+        D^{-1} (D \\/ tau^{-1}(x v)).  With tau^{-1}(x v) = cp dp in normal
+        form and r = rc(cp), this is the residual r\\dp.
+        """
+        c = self.tau_pow(x, -1)
+        d = self.tau_pow(v, -1)
+        t = self.meet(self.right_complement(c), d)
+        cp = self.mul(c, t)
+        dp = self.left_quotient(t, d)
+        r = self.right_complement(cp)
+        return self.left_quotient(r, self.join(r, dp))
+
+    def w_step(self, x: Simple, w: Simple) -> Simple:
+        """The residual x\\w = x^{-1} (x \\/ w)."""
+        return self.left_quotient(x, self.join(x, w))
+
+    def slide(self, a: Simple, b: Simple) -> tuple[Simple, Simple]:
+        """
+        (a c, c^{-1} b) with c = rc(a) /\\ b: the normal form's move on a
+        factor pair, which returns (a, b) when the pair is left-weighted.
+        """
+        c = self.meet(self.right_complement(a), b)
+        if self.is_identity(c):
+            return a, b
+        return self.mul(a, c), self.left_quotient(c, b)
+
 
 @dataclasses.dataclass(frozen=True)
 class CanonicalElement:
@@ -95,7 +141,8 @@ class CanonicalElement:
     Instances are only created by the normalization machinery in this module,
     which guarantees the factors are left-weighted and contain neither the
     identity nor D.  inf, sup and the canonical length are read off the
-    fields.
+    fields.  The constructor checks nothing: its factors must be handles
+    that the structure produced, and raw words go through normalize.
     """
 
     struct: GarsideStructure
@@ -199,7 +246,10 @@ def delta_power(struct: GarsideStructure, k: int) -> CanonicalElement:
 
 
 def simple_element(struct: GarsideStructure, a: Simple, power: int = 0) -> CanonicalElement:
-    """The element D^power * a for a single simple a."""
+    """
+    The element D^power * a for a single simple a, which must be a handle
+    that the structure produced; it is not checked (see normalize).
+    """
     if struct.is_delta(a):
         return CanonicalElement(struct, power + 1, ())
     if struct.is_identity(a):
@@ -212,8 +262,14 @@ def normalize(struct: GarsideStructure, power: int, word: Iterable[Simple]) -> C
     Left normal form of D^power * (product of word).
 
     Identity letters are absorbed and D letters migrate into the leading
-    power; the function is idempotent on already-normal input.
+    power; the function is idempotent on already-normal input.  This is the
+    constructor from raw words, so it raises ValueError on a letter that is
+    not a simple of the structure.
     """
+    word = list(word)
+    for f in word:
+        if not struct.is_simple(f):
+            raise ValueError(f"{f!r} is not a simple element of {struct!r}")
     factors = [f for f in word if not struct.is_identity(f)]
     dp, out = _weight_factors(struct, factors, range(len(factors) - 1))
     return CanonicalElement(struct, power + dp, out)
@@ -227,31 +283,28 @@ def _weight_factors(
     """
     Drive a factor list to its left-weighted fixed point by local sliding.
 
-    A pair (a, b) slides to (a*c, c^{-1}b) with c = rc(a) /\\ b; the move
-    shifts atom mass leftwards, so the process terminates, and the fixed
-    point is independent of the processing order because a sequence is
-    normal exactly when every adjacent pair is.  `suspects` seeds the
-    positions that may violate weightedness (all of them for a raw word,
-    just the junction after concatenating two normal words).
+    A pair (a, b) slides to (a*c, c^{-1}b) with c = rc(a) /\\ b, the
+    structure's slide step; the move shifts atom mass leftwards, so the
+    process terminates, and the fixed point is independent of the
+    processing order because a sequence is normal exactly when every
+    adjacent pair is.  `suspects` seeds the positions that may violate
+    weightedness (all of them for a raw word, just the junction after
+    concatenating two normal words).
     """
     todo = sorted(set(suspects), reverse=True)
     pending = set(todo)
-    meet = struct.meet
-    rc = struct.right_complement
+    slide = struct.slide
     is_id = struct.is_identity
     while todo:
         i = todo.pop()
         pending.discard(i)
         if i < 0 or i + 1 >= len(factors):
             continue
-        a, b = factors[i], factors[i + 1]
-        if is_id(b):
+        b = factors[i + 1]
+        ac, rest = slide(factors[i], b)
+        if rest == b:  # already left-weighted
             continue
-        c = meet(rc(a), b)
-        if is_id(c):
-            continue
-        factors[i] = struct.mul(a, c)
-        factors[i + 1] = struct.left_quotient(c, b)
+        factors[i], factors[i + 1] = ac, rest
         for j in (i - 1, i + 1):
             if 0 <= j < len(factors) - 1 and j not in pending:
                 pending.add(j)

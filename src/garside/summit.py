@@ -138,10 +138,10 @@ def _summit_closure(
     rep: WitnessedElement | None,
     target: CanonicalElement | None = None,
 ) -> SummitSet:
+    budget = _Budget(kind, budget_ms, max_size)  # the representative counts too
     if rep is None:
         rep = cstar_representative(x)
     y0, w0 = rep.element, rep.witness
-    budget = _Budget(kind, budget_ms, max_size)
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     trajectories: list[Trajectory] = []

@@ -15,8 +15,11 @@ shape D^m * simple stays in that shape and must eventually repeat.
 
 Arguments of that shape are all the algorithms ever need, and for them both
 maps reduce to pure simple-lattice calculus on the normal form of x: chains
-of meets, joins, complements and quotients, one per factor.  A leading D^m
-peels off through tau:  phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).
+of one structure step per factor (GarsideStructure.a_step and b_step for
+the pushforward, v_step and w_step for the pullback), each a function of
+the factor and the running simple that a structure may memoise.  The w-step
+is the residual x\\w = x^{-1} (x \\/ w), and the v-step ends in one.  A
+leading D^m peels off through tau:  phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).
 
 Composing the single steps around a closed orbit of the order-q cycling
 gives the orbit transports (pushforward forwards, pullback in reversed
@@ -44,21 +47,23 @@ def _phi_simple(
 ) -> Simple:
     """
     Pushforward of a simple u (u != D) along the order-(p+k) cycling of
-    D^p x_1...x_l, evaluated by the two normal-form chains
+    D^p x_1...x_l, evaluated by the two normal-form chains of the
+    structure's a-steps and b-steps
 
-        a_0 = tau^p(u),  a_i = rc( (x_i /\\ a_{i-1})^{-1} x_i )     i = 1..k
-        b_{l+1} = u,     b_i = x_i * ( rc(x_i) /\\ b_{i+1} )        i = l..k+1
+        a_0 = tau^p(u),  a_i = a_step(x_i, a_{i-1}) = rc( (x_i /\\ a_{i-1})^{-1} x_i )
+        b_{l+1} = u,     b_i = b_step(x_i, b_{i+1}) = x_i * ( rc(x_i) /\\ b_{i+1} )
 
-    whose meet a_k /\\ b_{k+1} is the pushforward.
+    (a-steps for i = 1..k, b-steps for i = l..k+1), whose meet a_k /\\ b_{k+1}
+    is the pushforward.
     """
-    a = s.tau_pow(u, p)
+    a = u
+    if p % s.order_of_tau:
+        a = s.tau_pow(u, p)
     for i in range(k):
-        xi = factors[i]
-        a = s.right_complement(s.left_quotient(s.meet(xi, a), xi))
+        a = s.a_step(factors[i], a)
     b = u
     for i in range(len(factors) - 1, k - 1, -1):
-        xi = factors[i]
-        b = s.mul(xi, s.meet(s.right_complement(xi), b))
+        b = s.b_step(factors[i], b)
     return s.meet(a, b)
 
 
@@ -67,28 +72,26 @@ def _pi_simple(
 ) -> Simple:
     """
     Pullback of a simple u (u != D) along the order-(p+k) cycling, by the
-    dual chains
+    dual chains of the structure's v-steps and w-steps
 
-        v_k = u,      v_{i-1} = D^{-1} (D \\/ tau^{-1}(x_i v_i))   i = k..1
-        w_{k+1} = u,  w_{i+1} = x_i^{-1} (x_i \\/ w_i)             i = k+1..l
+        v_k = u,      v_{i-1} = v_step(x_i, v_i) = D^{-1} (D \\/ tau^{-1}(x_i v_i))
+        w_{k+1} = u,  w_{i+1} = w_step(x_i, w_i) = x_i\\w_i
 
-    joined as tau^{-p}(v_0) \\/ w_{l+1}.  With tau^{-1}(x_i v_i) = cp dp in
-    normal form and r = rc(cp), D^{-1} (D \\/ cp dp) = r^{-1} (r \\/ dp).
+    (v-steps for i = k..1, w-steps for i = k+1..l), joined as
+    tau^{-p}(v_0) \\/ w_{l+1}.  The w-step is the residual
+    x\\w = x^{-1} (x \\/ w), and the v-step ends in one: with
+    tau^{-1}(x v) = cp dp in normal form and r = rc(cp),
+    D^{-1} (D \\/ cp dp) = r\\dp.
     """
     v = u
     for i in range(k - 1, -1, -1):
-        c = s.tau_pow(factors[i], -1)
-        d = s.tau_pow(v, -1)
-        t = s.meet(s.right_complement(c), d)
-        cp = s.mul(c, t)
-        dp = s.left_quotient(t, d)
-        r = s.right_complement(cp)
-        v = s.left_quotient(r, s.join(r, dp))
+        v = s.v_step(factors[i], v)
     w = u
     for i in range(k, len(factors)):
-        xi = factors[i]
-        w = s.left_quotient(xi, s.join(xi, w))
-    return s.join(s.tau_pow(v, -p), w)
+        w = s.w_step(factors[i], w)
+    if p % s.order_of_tau:
+        v = s.tau_pow(v, -p)
+    return s.join(v, w)
 
 
 class TransportContext:

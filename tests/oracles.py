@@ -156,6 +156,47 @@ def sweep_join(a: tuple, b: tuple) -> tuple:
     return tuple(m - v for v in sweep_meet(ca, cb))
 
 
+# The transport chain steps and the normal form's slide, each written out
+# from the lattice operations with no memo: the references for the
+# GarsideStructure step defaults and BraidStructure's memoised overrides.
+
+
+def a_step(s, x, a):
+    return s.right_complement(s.left_quotient(s.meet(x, a), x))
+
+
+def b_step(s, x, b):
+    return s.mul(x, s.meet(s.right_complement(x), b))
+
+
+def v_step(s, x, v):
+    c = s.tau_pow(x, -1)
+    d = s.tau_pow(v, -1)
+    t = s.meet(s.right_complement(c), d)
+    cp = s.mul(c, t)
+    dp = s.left_quotient(t, d)
+    r = s.right_complement(cp)
+    return s.left_quotient(r, s.join(r, dp))
+
+
+def w_step(s, x, w):
+    return s.left_quotient(x, s.join(x, w))
+
+
+def slide(s, a, b):
+    c = s.meet(s.right_complement(a), b)
+    return s.mul(a, c), s.left_quotient(c, b)
+
+
+STEP_ORACLES = {
+    "a_step": a_step,
+    "b_step": b_step,
+    "v_step": v_step,
+    "w_step": w_step,
+    "slide": slide,
+}
+
+
 def nontrivial_simples(st: BraidStructure):
     for tab in itertools.permutations(range(st.n)):
         if not st.is_identity(tab):

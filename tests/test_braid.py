@@ -1,5 +1,6 @@
 """The permutation lattice of the classical braid structure."""
 
+import collections
 import itertools
 import math
 import random
@@ -20,10 +21,11 @@ from garside.braid import (
     random_simple,
     word_str,
 )
-from garside.core import GarsideStructure, delta_power, simple_element
+from garside.core import GarsideStructure, delta_power, normalize, simple_element
+from garside.summit import c_star, ultra_summit_set
 
 from conftest import random_element
-from oracles import simple_divides, sweep_join, sweep_meet
+from oracles import STEP_ORACLES, simple_divides, sweep_join, sweep_meet
 
 
 def all_simples(n):
@@ -117,6 +119,39 @@ def test_meet_join_match_sweep_oracle_exhaustive_b5():
             assert st.join(a, b) == sweep_join(a, b)
 
 
+@hs.composite
+def step_arguments(draw):
+    """A fresh structure of B_2..B_12 and a (factor, argument) pair."""
+    n = draw(hs.integers(2, 12))
+    st = BraidStructure(n)  # not the interned structure: memos start empty
+    perm = hs.permutations(range(n)).map(tuple)
+    special = hs.sampled_from([st.identity, st.delta])
+    x = draw(hs.one_of(special, perm))
+    shape = draw(hs.sampled_from(["any", "equal", "divisor", "multiple", "complement"]))
+    if shape == "equal":
+        y = x
+    elif shape == "divisor":
+        y = sweep_meet(x, draw(perm))
+    elif shape == "multiple":
+        y = sweep_join(x, draw(perm))
+    elif shape == "complement":  # x y is simple, so the slide absorbs all of y
+        y = sweep_meet(st.right_complement(x), draw(perm))
+    else:
+        y = draw(hs.one_of(special, perm))
+    return st, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_arguments())
+def test_steps_match_the_inline_chains(args):
+    st, x, y = args
+    for name, oracle in STEP_ORACLES.items():
+        expected = oracle(st, x, y)
+        assert getattr(GarsideStructure, name)(st, x, y) == expected, name
+        for _ in range(2):  # a miss, then a memo hit
+            assert getattr(st, name)(x, y) == expected, name
+
+
 def _drive_kernel(st, pairs):
     for a, b in pairs:
         st.meet(a, b)
@@ -125,6 +160,8 @@ def _drive_kernel(st, pairs):
         st.right_complement(a)
         st.tau(a)
         st.norm(a)
+        for name in STEP_ORACLES:
+            getattr(st, name)(a, b)
 
 
 def _assert_caches_bounded(st):
@@ -141,6 +178,8 @@ def _assert_kernel_matches(st, pairs):
         assert st.mul(a, st.right_complement(a)) == st.delta
         assert st.tau(a) == tuple(n - 1 - a[n - 1 - i] for i in range(n))
         assert st.norm(a) == sum(a[i] > a[j] for i in range(n) for j in range(i + 1, n))
+        for name, oracle in STEP_ORACLES.items():
+            assert getattr(st, name)(a, b) == oracle(st, a, b), name
 
 
 def test_caches_bounded_and_correct_after_clear():
@@ -154,6 +193,31 @@ def test_caches_bounded_and_correct_after_clear():
     # more distinct calls than the cap went in, so the tables were cleared
     assert len(st._meet_cache) < len(set(pairs))
     _assert_kernel_matches(st, pairs[:400] + pairs[-400:])
+    _assert_caches_bounded(st)
+
+
+def test_step_memos_bounded_after_many_operations(monkeypatch):
+    # summit sets on a fresh structure until every step memo has taken more
+    # entries than the cap, so each one was cleared at least once
+    st = BraidStructure(6)
+    steps = [st._a_cache, st._b_cache, st._v_cache, st._w_cache, st._slide_cache]
+    stored = collections.Counter()
+    remember = braid._remember
+
+    def counting_remember(cache, key, value):
+        stored[id(cache)] += 1
+        return remember(cache, key, value)
+
+    monkeypatch.setattr(braid, "_remember", counting_remember)
+    rng = random.Random(11)
+    for _ in range(400):
+        if min(stored[id(c)] for c in steps) > braid._CACHE_CAP:
+            break
+        x = normalize(st, 0, [random_simple(rng, 6) for _ in range(4)])
+        ultra_summit_set(x)
+        c_star(x)
+        _assert_caches_bounded(st)
+    assert min(stored[id(c)] for c in steps) > braid._CACHE_CAP
     _assert_caches_bounded(st)
 
 

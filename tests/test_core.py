@@ -1,5 +1,7 @@
 """Normal-form arithmetic: uniqueness, prefix law, group operations."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
@@ -24,6 +26,16 @@ def test_normalize_delta_word():
     st = s3()
     x = normalize(st, 0, [st.atoms[0], st.atoms[1], st.atoms[0]])
     assert (x.power, x.factors) == (1, ())
+
+
+def test_normalize_rejects_what_is_not_a_simple():
+    st = s3()
+    for bad in [(0, 0, 1), (1, 0), (3, 1, 0), [1, 0, 2], (0, 1, 2.0), (0, [1], 2), (0, 1, 2, 2),
+                "012", None]:
+        assert not st.is_simple(bad)
+        with pytest.raises(ValueError):
+            normalize(st, 0, [st.atoms[0], bad])
+    assert all(st.is_simple(a) for a in itertools.permutations(range(3)))
 
 
 def test_normalize_empty():

@@ -3,12 +3,13 @@
 import hashlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from garside import cycling, transport
+from garside import cycling, summit, transport
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.cli.generators import gen_test1, gen_test3
 from garside.core import delta_power, identity_element, normalize, simple_element
@@ -264,6 +265,30 @@ def test_budget_and_size_guards():
     except BudgetExceeded as e:
         assert e.kind == "super"
         assert e.size > 0
+
+
+def test_budget_clock_covers_the_representative(monkeypatch):
+    # the clock starts before the refined-summit representative is computed,
+    # so the reported time is the whole call's, representative included
+    rng = random.Random(1)
+    x = normalize(braid_structure(40), 0, [random_simple(rng, 40) for _ in range(40)])
+    phases = []
+
+    def timed_representative(y):
+        t0 = time.monotonic()
+        out = cstar_representative(y)
+        phases.append(time.monotonic() - t0)
+        return out
+
+    monkeypatch.setattr(summit, "cstar_representative", timed_representative)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        c_star(x, budget_ms=50)
+    total_ms = (time.monotonic() - t0) * 1000.0
+    (rep_ms,) = [1000.0 * t for t in phases]
+    assert info.value.elapsed_ms >= rep_ms
+    # a clock started after the representative would miss all of rep_ms
+    assert info.value.elapsed_ms > total_ms - rep_ms / 2
 
 
 @hs.composite
