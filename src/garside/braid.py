@@ -135,6 +135,13 @@ class BraidStructure(GarsideStructure):
             cached = _remember(self._tau_cache, a, tuple(m - v for v in reversed(a)))
         return cached
 
+    def tau_pow(self, a: PermSimple, k: int) -> PermSimple:
+        """tau^k(a); tau is an involution here, so at most one table lookup."""
+        if k % self.order_of_tau == 0:
+            return a
+        cached = self._tau_cache.get(a)
+        return self.tau(a) if cached is None else cached
+
     def norm(self, a: PermSimple) -> int:
         """Atom count of the simple = inversion number of the permutation."""
         cached = self._norm_cache.get(a)

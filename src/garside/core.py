@@ -6,13 +6,24 @@ the Garside element of the structure, each factor x_i is a simple element
 distinct from the identity and from D, and each adjacent pair of factors is
 left-weighted: no nontrivial left divisor of x_{i+1} can be absorbed into
 x_i (equivalently, the right complement of x_i and x_{i+1} have trivial
-meet).  The normal form is unique, so equality of group elements is tuple
-equality of (structure, p, factors).
+meet).  The normal form is unique, so equality of group elements is equality
+of (p, factors) within one structure.
 
 The arithmetic is parameterized over a GarsideStructure, which supplies the
 lattice of simple elements (meet, join, complements, tau) as opaque handles.
 This module never enumerates the simple elements, so structures with huge
 simple sets (the braid group B_n has n! of them) work fine.
+
+Products and normal forms are built by right multiplication by one simple
+at a time.  Appending a simple s to a normal word x_1...x_k makes the last
+pair (x_k, s) left-weighted by a slide, and by the domino rule (Dehornoy et
+al., Foundations of Garside Theory, 2015; Epstein et al., Word Processing in
+Groups, ch. 9) it then suffices to slide the pairs leftwards, stopping at
+the first pair that comes back unchanged: every pair to its left is
+untouched and was weighted already.  A product of two normal forms appends
+the right operand's factors in turn and stops as soon as one arrives
+unchanged, because the rest of the right operand is weighted already; most
+products therefore pay for their junction only.
 
 All values are immutable once built and every operation is pure, so elements
 and structures may be freely shared between threads or tasks.
@@ -133,7 +144,7 @@ class GarsideStructure(abc.ABC):
         return self.mul(a, c), self.left_quotient(c, b)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CanonicalElement:
     """
     A group element in left normal form D^power f_1 ... f_k.
@@ -143,11 +154,30 @@ class CanonicalElement:
     identity nor D.  inf, sup and the canonical length are read off the
     fields.  The constructor checks nothing: its factors must be handles
     that the structure produced, and raw words go through normalize.
+
+    Elements are equal when they have the same power and factors in equal
+    structures, so elements of different structures are never equal; the
+    hash leaves the structure out, which spares its hash on every dict and
+    set operation.
     """
 
     struct: GarsideStructure
     power: int
     factors: tuple[Simple, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, CanonicalElement):
+            return NotImplemented
+        return (
+            self.power == other.power
+            and self.factors == other.factors
+            and (self.struct is other.struct or self.struct == other.struct)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.power, self.factors))
 
     @property
     def inf(self) -> int:
@@ -177,11 +207,21 @@ class CanonicalElement:
         return (self.power, self.factors)
 
     def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":
-        if self.struct != other.struct:
-            raise ValueError("elements belong to different structures")
+        # D^p x D^r y = D^{p+r} tau^r(x) y: the left factors move past D^r
         s = self.struct
-        dp, factors = _mul_weighted(s, self.tau_pow(other.power).factors, other.factors)
-        return CanonicalElement(s, self.power + other.power + dp, factors)
+        if other.struct is not s and other.struct != s:
+            raise ValueError("elements belong to different structures")
+        power = self.power + other.power
+        if not self.factors:
+            return CanonicalElement(s, power, other.factors)
+        left = self.factors
+        k = other.power
+        if k % s.order_of_tau:
+            left = tuple([s.tau_pow(f, k) for f in left])
+        if not other.factors:
+            return CanonicalElement(s, power, left)
+        dp, factors = _right_multiply(s, left, other.factors, True)
+        return CanonicalElement(s, power + dp, factors)
 
     def inv(self) -> "CanonicalElement":
         # (D^p x_1...x_l)^{-1} = rc(x_l) tau(rc(x_{l-1})) ... tau^{l-1}(rc(x_1)) D^{-l-p},
@@ -264,70 +304,59 @@ def normalize(struct: GarsideStructure, power: int, word: Iterable[Simple]) -> C
     Identity letters are absorbed and D letters migrate into the leading
     power; the function is idempotent on already-normal input.  This is the
     constructor from raw words, so it raises ValueError on a letter that is
-    not a simple of the structure.
+    not a simple of the structure.  The letters are multiplied in one at a
+    time (_right_multiply), with no early stop, since a raw word need not be
+    weighted.
     """
     word = list(word)
     for f in word:
         if not struct.is_simple(f):
             raise ValueError(f"{f!r} is not a simple element of {struct!r}")
-    factors = [f for f in word if not struct.is_identity(f)]
-    dp, out = _weight_factors(struct, factors, range(len(factors) - 1))
+    dp, out = _right_multiply(struct, (), word, False)
     return CanonicalElement(struct, power + dp, out)
 
 
-def _weight_factors(
-    struct: GarsideStructure,
-    factors: list[Simple],
-    suspects: Iterable[int],
-) -> tuple[int, tuple[Simple, ...]]:
-    """
-    Drive a factor list to its left-weighted fixed point by local sliding.
-
-    A pair (a, b) slides to (a*c, c^{-1}b) with c = rc(a) /\\ b, the
-    structure's slide step; the move shifts atom mass leftwards, so the
-    process terminates, and the fixed point is independent of the
-    processing order because a sequence is normal exactly when every
-    adjacent pair is.  `suspects` seeds the positions that may violate
-    weightedness (all of them for a raw word, just the junction after
-    concatenating two normal words).
-    """
-    todo = sorted(set(suspects), reverse=True)
-    pending = set(todo)
-    slide = struct.slide
-    is_id = struct.is_identity
-    while todo:
-        i = todo.pop()
-        pending.discard(i)
-        if i < 0 or i + 1 >= len(factors):
-            continue
-        b = factors[i + 1]
-        ac, rest = slide(factors[i], b)
-        if rest == b:  # already left-weighted
-            continue
-        factors[i], factors[i + 1] = ac, rest
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(factors) - 1 and j not in pending:
-                pending.add(j)
-                todo.append(j)
-    dp = 0
-    lo, hi = 0, len(factors)
-    while lo < hi and struct.is_delta(factors[lo]):
-        lo += 1
-        dp += 1
-    while lo < hi and is_id(factors[hi - 1]):
-        hi -= 1
-    return dp, tuple(factors[lo:hi])
-
-
-def _mul_weighted(
+def _right_multiply(
     struct: GarsideStructure,
     left: Sequence[Simple],
-    right: Sequence[Simple],
+    letters: Sequence[Simple],
+    normal: bool,
 ) -> tuple[int, tuple[Simple, ...]]:
-    """Product of two left-weighted factor sequences."""
-    if not left:
-        return 0, tuple(right)
-    if not right:
-        return 0, tuple(left)
-    factors = [*left, *right]
-    return _weight_factors(struct, factors, [len(left) - 1])
+    """
+    Multiply the left-weighted factor word left by the letters, one simple
+    at a time, and return (leading D count, remaining factors).
+
+    Each letter is appended and the pairs are slid leftwards with the
+    structure's slide step, (a, b) -> (a c, c^{-1} b) with c = rc(a) /\\ b,
+    until a pair comes back unchanged; by the domino rule the list is then
+    left-weighted again.  A letter absorbed whole leaves the identity at the
+    end, which is dropped; D letters move to the front, where the leading
+    Ds are counted into the power at the end.  When normal is true the
+    letters are themselves a left-weighted word with no identity or D, so
+    once a letter arrives unchanged the rest is appended as it is.
+    """
+    out = list(left)
+    slide = struct.slide
+    is_id = struct.is_identity
+    for j, f in enumerate(letters):
+        if is_id(f):
+            continue
+        i = len(out) - 1
+        out.append(f)
+        while i >= 0:
+            b = out[i + 1]
+            a, rest = slide(out[i], b)
+            if rest == b:  # already left-weighted, and so is every pair to the left
+                break
+            out[i], out[i + 1] = a, rest
+            i -= 1
+        if is_id(out[-1]):
+            out.pop()
+        elif normal and i == len(out) - 2:  # f arrived unchanged
+            out.extend(letters[j + 1:])
+            break
+    dp = 0
+    is_delta = struct.is_delta
+    while dp < len(out) and is_delta(out[dp]):
+        dp += 1
+    return dp, tuple(out[dp:])

@@ -16,7 +16,10 @@ decreases and sup never increases, so the reachable set is finite.  The
 elements lying on closed orbits of order q form the recurrence set G_q;
 elements recurrent at every order are exactly the members of the refined
 summit set of their conjugacy class, and the trajectory of such an element
-is its closure under all interior-order cyclings together with tau.
+is its closure under all interior-order cyclings together with tau.  That
+closure takes every interior-order step from every member, so it also
+returns the closed orbits of its key element, which the summit closure's
+seed step turns into orbit transports without cycling again.
 
 Everything here is pure and operates on immutable values.
 """
@@ -206,7 +209,9 @@ def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
     raise ValueError(f"unknown summit kind {kind!r}")
 
 
-def _closure_trajectory(seed: CanonicalElement, kind: str, conj: CanonicalElement) -> Trajectory:
+def _closure_trajectory(
+    seed: CanonicalElement, kind: str, conj: CanonicalElement
+) -> tuple[Trajectory, dict[int, tuple[CanonicalElement, ...]]]:
     """
     Worklist closure of the tau-orbit of seed under the interior recurrence
     orders of the given summit kind.  conj carries the start element of the
@@ -214,10 +219,18 @@ def _closure_trajectory(seed: CanonicalElement, kind: str, conj: CanonicalElemen
     members must keep the seed's (inf, sup), so the orders are read once
     off the seed; a drift means the seed was not recurrent at some order,
     which is reported as an error.
+
+    The closure takes one cycling step of every order from every member,
+    so it records each member's successor at each interior order, and
+    returns with the trajectory the key element's closed orbit at each
+    interior order (starting at the key element), walked off those
+    successors: the seed step of the key element builds its orbit
+    transports from them.  The successor maps are dropped on return.
     """
     s = seed.struct
     bounds = (seed.inf, seed.sup)
     interior = [q for q in recurrence_orders(kind, seed) if seed.inf < q < seed.sup]
+    successors: dict[int, dict[CanonicalElement, CanonicalElement]] = {q: {} for q in interior}
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     queue: list[CanonicalElement] = []
     cur, w = seed, conj
@@ -237,11 +250,33 @@ def _closure_trajectory(seed: CanonicalElement, kind: str, conj: CanonicalElemen
                     "trajectory closure left the recurrence sets; "
                     "the seed element was not recurrent at every order"
                 )
+            successors[q][y] = z
             if z not in witnesses:
                 witnesses[z] = wy * c
                 queue.append(z)
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
-    return Trajectory(members, members[0], witnesses)
+    key = members[0]
+    orbits = {q: _walk_orbit(key, successors[q]) for q in interior}
+    return Trajectory(members, key, witnesses), orbits
+
+
+def _walk_orbit(
+    start: CanonicalElement, successor: Mapping[CanonicalElement, CanonicalElement]
+) -> tuple[CanonicalElement, ...]:
+    """
+    The closed orbit of start under a recorded cycling step, as the
+    elements from start up to the one whose successor is start.  A walk
+    that runs through as many elements as the map holds without coming
+    back has entered a cycle that misses start, so start is not recurrent.
+    """
+    orbit = [start]
+    z = successor[start]
+    while z != start:
+        if len(orbit) == len(successor):
+            raise NotRecurrentError("element is not on a closed orbit of its cycling")
+        orbit.append(z)
+        z = successor[z]
+    return tuple(orbit)
 
 
 def trajectory(x: CanonicalElement) -> Trajectory:
@@ -251,7 +286,7 @@ def trajectory(x: CanonicalElement) -> Trajectory:
     every order (as produced by cstar_representative).  The witnesses
     start from x.
     """
-    return _closure_trajectory(x, "star", identity_element(x.struct))
+    return _closure_trajectory(x, "star", identity_element(x.struct))[0]
 
 
 def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedElement:

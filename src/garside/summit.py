@@ -133,26 +133,28 @@ class _Budget:
 def _summit_closure(
     x: CanonicalElement,
     kind: str,
-    budget_ms: float | None,
-    max_size: int | None,
+    budget: _Budget,
     rep: WitnessedElement | None,
     target: CanonicalElement | None = None,
 ) -> SummitSet:
-    budget = _Budget(kind, budget_ms, max_size)  # the representative counts too
+    # the caller starts the budget, so the representatives count too
     if rep is None:
         rep = cstar_representative(x)
+        budget.count()
     y0, w0 = rep.element, rep.witness
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     trajectories: list[Trajectory] = []
-    queue: list[CanonicalElement] = []
+    # key elements still to seed, each with its closed orbits at the
+    # interior orders, which its trajectory's closure has just walked
+    queue: list[tuple[CanonicalElement, dict]] = []
 
     def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:
-        traj = _closure_trajectory(z, kind, conj_to_z)
+        traj, orbits = _closure_trajectory(z, kind, conj_to_z)
         trajectories.append(traj)
         budget.count(len(traj))
         witnesses.update(traj.witnesses)
-        queue.append(traj.key_element)
+        queue.append((traj.key_element, orbits))
 
     # A membership query only needs to reach its target, so the closure stops
     # once the target is registered; the LIFO order and the never-overwritten
@@ -160,11 +162,11 @@ def _summit_closure(
     register(y0, w0)
     while queue and target not in witnesses:
         budget.count()
-        y = queue.pop()
+        y, orbits = queue.pop()
         if y.clen == 0:
             continue
         wy = witnesses[y]
-        for conj, z in _seed_trajectories(y, kind):
+        for conj, z in _seed_trajectories(y, kind, orbits):
             budget.count()
             # trajectories partition the set, so a known z means a known
             # trajectory, and its conjugator is only multiplied out when new
@@ -194,7 +196,7 @@ def summit_set(
 ) -> SummitSet:
     """The summit set of the given kind: "super", "ultra" or "star"."""
     recurrence_orders(kind, x)  # rejects an unknown kind before any work
-    return _summit_closure(x, kind, budget_ms, max_size, None)
+    return _summit_closure(x, kind, _Budget(kind, budget_ms, max_size), None)
 
 
 def super_summit_set(x: CanonicalElement, **limits) -> SummitSet:
@@ -228,18 +230,22 @@ def decide_conjugacy(
     set would give it, so the witness does not depend on where the closure
     stopped.  The invariants short-circuit to a negative answer, cheapest
     first: differing exponent sums before either representative is
-    computed, then differing summit bounds.  The limits are summit_set's
-    and count the partial closure.
+    computed, then differing summit bounds.  The limits are summit_set's;
+    the clock starts on entry, so it covers both representatives, and the
+    size counts the partial closure.
     """
+    budget = _Budget("star", budget_ms, max_size)
     if x.struct != y.struct:
         raise ValueError("elements belong to different structures")
     if x.exponent_sum != y.exponent_sum:
         return ConjugacyAnswer(False)
     rx = cstar_representative(x)
+    budget.count()
     ry = cstar_representative(y)
+    budget.count()
     if (rx.element.inf, rx.element.sup) != (ry.element.inf, ry.element.sup):
         return ConjugacyAnswer(False)
-    reached = _summit_closure(x, "star", budget_ms, max_size, rx, ry.element)
+    reached = _summit_closure(x, "star", budget, rx, ry.element)
     if ry.element not in reached.witnesses:
         return ConjugacyAnswer(False)
     witness = reached.witnesses[ry.element] * ry.witness.inv()

@@ -26,11 +26,18 @@ gives the orbit transports (pushforward forwards, pullback in reversed
 nesting).  An element x^u is order-q recurrent exactly when the orbit
 pushforward returns to u after finitely many rounds, which is what makes
 the minimal-conjugator sweep below terminate and be correct.
+
+The summit closures seed from key elements of trajectories, and the
+closure of a trajectory has already taken every interior-order cycling
+step of its members.  So the seed step builds a key element's orbit
+transports at the interior orders from the closed orbits that closure
+walked (cycling._closure_trajectory), and cycles here only at the boundary
+orders inf x and sup x, where the orbit is a tau-orbit or a fixed point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     CanonicalElement,
@@ -140,16 +147,28 @@ class TransportContext:
 class OrbitTransport:
     """
     Transport around the full closed orbit of x under the order-q cycling.
-    Raises NotRecurrentError unless x lies on its closed orbit.
+    Raises NotRecurrentError unless x lies on its closed orbit.  A caller
+    that already holds that orbit (its elements from x onwards, as the
+    trajectory closure records them) passes it as orbit, and then no
+    cycling step is taken here.
     """
 
-    def __init__(self, x: CanonicalElement, q: int):
-        rec = recurrent_representative(x, q)
-        if rec.entry_index:
-            raise NotRecurrentError(f"element is not order-{q} recurrent")
+    def __init__(
+        self,
+        x: CanonicalElement,
+        q: int,
+        orbit: Sequence[CanonicalElement] | None = None,
+    ):
+        if orbit is None:
+            rec = recurrent_representative(x, q)
+            if rec.entry_index:
+                raise NotRecurrentError(f"element is not order-{q} recurrent")
+            orbit = rec.elements
+        elif orbit[0] != x:
+            raise ValueError("an orbit must start at its element")
         self.x = x
         self.q = q
-        self.contexts = tuple(TransportContext(y, q) for y in rec.elements)
+        self.contexts = tuple(TransportContext(y, q) for y in orbit)
 
     def push_around(self, u: CanonicalElement) -> CanonicalElement:
         for ctx in self.contexts:
@@ -221,7 +240,9 @@ class _Excluded(Exception):
 
 
 def _seed_trajectories(
-    x: CanonicalElement, kind: str
+    x: CanonicalElement,
+    kind: str,
+    orbits: Mapping[int, Sequence[CanonicalElement]] | None = None,
 ) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
     The seed step of the summit closures of every kind.  Returns (v, x^v)
@@ -232,12 +253,18 @@ def _seed_trajectories(
     the given kind, so there are at most as many as atoms.  No trajectory
     is built here: the caller closes the ones it has not seen yet.
 
+    orbits holds closed orbits of x by order, as the closure of the
+    trajectory of x returns them for its interior orders; an order it
+    lacks (a boundary order, where the orbit is a tau-orbit or a fixed
+    point) is walked here by recurrent_representative.
+
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
     atoms' trajectories cover the dropped ones.
     """
     s = x.struct
-    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
+    orbits = orbits or {}
+    transports = [OrbitTransport(x, q, orbits.get(q)) for q in recurrence_orders(kind, x)]
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, CanonicalElement]] = []

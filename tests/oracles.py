@@ -16,6 +16,7 @@ import itertools
 from garside.braid import BraidStructure
 from garside.core import (
     CanonicalElement,
+    GarsideStructure,
     delta_power,
     identity_element,
     normalize,
@@ -195,6 +196,57 @@ STEP_ORACLES = {
     "w_step": w_step,
     "slide": slide,
 }
+
+
+def weight_factors(struct, factors: list, suspects) -> tuple[int, tuple]:
+    """
+    Drive a factor list to its left-weighted fixed point by sliding any
+    pair that is not weighted, with a pending set of the positions that
+    may not be: the reference for the one-pass right multiplication.
+    The fixed point does not depend on the order of the slides, because a
+    word is normal exactly when every adjacent pair is.  suspects seeds
+    the pending set (every position for a raw word, the junction for the
+    concatenation of two normal words).
+    """
+    todo = sorted(set(suspects), reverse=True)
+    pending = set(todo)
+    while todo:
+        i = todo.pop()
+        pending.discard(i)
+        if i < 0 or i + 1 >= len(factors):
+            continue
+        b = factors[i + 1]
+        ac, rest = slide(struct, factors[i], b)
+        if rest == b:  # already left-weighted
+            continue
+        factors[i], factors[i + 1] = ac, rest
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(factors) - 1 and j not in pending:
+                pending.add(j)
+                todo.append(j)
+    dp = 0
+    lo, hi = 0, len(factors)
+    while lo < hi and struct.is_delta(factors[lo]):
+        lo += 1
+        dp += 1
+    while lo < hi and struct.is_identity(factors[hi - 1]):
+        hi -= 1
+    return dp, tuple(factors[lo:hi])
+
+
+def normalize_by_weighting(struct, power: int, word) -> CanonicalElement:
+    """Left normal form of D^power * word by weight_factors over every pair."""
+    factors = [f for f in word if not struct.is_identity(f)]
+    dp, out = weight_factors(struct, factors, range(len(factors) - 1))
+    return CanonicalElement(struct, power + dp, out)
+
+
+def mul_by_weighting(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
+    """x * y as D^{p+r} tau^r(x_1...x_k) y_1...y_l, weighted at the junction."""
+    s = x.struct
+    left = [GarsideStructure.tau_pow(s, f, y.power) for f in x.factors]
+    dp, out = weight_factors(s, left + list(y.factors), [len(left) - 1])
+    return CanonicalElement(s, x.power + y.power + dp, out)
 
 
 def nontrivial_simples(st: BraidStructure):

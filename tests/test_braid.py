@@ -288,6 +288,14 @@ def test_tau_table_map():
             via_group = delta_power(st, -1) * simple_element(st, a) * delta_power(st, 1)
             assert via_group == simple_element(st, st.tau(a))
             assert st.tau(a) == tuple(n - 1 - a[n - 1 - i] for i in range(n))
+    # the override against the generic loop, on a miss and on a hit of tau's memo
+    for n in range(2, 9):
+        st = BraidStructure(n)
+        rng = random.Random(n)
+        for a in [st.identity, st.delta, *(random_simple(rng, n) for _ in range(10))]:
+            for k in range(-3, 4):
+                got = st.tau_pow(a, k)
+                assert got == GarsideStructure.tau_pow(st, a, k) == st.tau_pow(a, k)
 
 
 def test_tau_is_lattice_automorphism():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from garside.braid import braid_structure, parse_word, random_simple
+from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
 from garside.core import (
+    CanonicalElement,
     delta_power,
     identity_element,
     normalize,
@@ -15,7 +16,7 @@ from garside.core import (
 )
 
 from conftest import random_element
-from oracles import assert_normal_form
+from oracles import assert_normal_form, mul_by_weighting, normalize_by_weighting
 
 
 def s3():
@@ -199,3 +200,50 @@ def test_element_equality_key():
     assert a == b and hash(a) == hash(b)
     assert a.key() == b.key()
     assert a != parse_word("2 1", 3)
+    # an equal structure that is another object gives equal elements
+    c = CanonicalElement(BraidStructure(3), a.power, a.factors)
+    assert c.struct is not st and c == a and hash(c) == hash(a)
+    # the hash leaves the structure out, equality does not
+    assert delta_power(s3(), 1) != delta_power(braid_structure(4), 1)
+    assert identity_element(s3()) != identity_element(braid_structure(2))
+    assert (a == a.key()) is False and (a == "1 2") is False and a != None  # noqa: E711
+
+
+@hs.composite
+def weighting_cases(draw):
+    """
+    A fresh structure of B_2..B_12 (B_2, where tau is the identity, drawn
+    more often) and two raw words with their D powers, whose letters are
+    random simples mixed with D, the identity and atoms.
+    """
+    n = draw(hs.sampled_from([2, 2, 2, *range(3, 13)]))
+    st = BraidStructure(n)  # not the interned structure: the slide memo starts empty
+    rng = draw(hs.randoms(use_true_random=False))
+    specials = [st.delta, st.delta, st.identity, *st.atoms]
+
+    def word():
+        return [
+            random_simple(rng, n) if draw(hs.booleans()) else draw(hs.sampled_from(specials))
+            for _ in range(draw(hs.integers(0, 7)))
+        ]
+
+    return st, draw(hs.integers(-3, 3)), word(), draw(hs.integers(-3, 3)), word()
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighting_cases())
+@example((BraidStructure(2), -1, [], 0, [(1, 0), (1, 0), (0, 1)]))
+@example((BraidStructure(3), 1, [(2, 1, 0)] * 3, -2, [(1, 0, 2), (0, 2, 1), (2, 0, 1)]))
+def test_products_and_normalize_match_the_weighting_oracle(case):
+    # the one-pass right multiplication against the pending-set weighting,
+    # including D-only operands, identity products and B_2
+    st, p, word, r, word2 = case
+    x = normalize(st, p, word)
+    y = normalize(st, r, word2)
+    assert x == normalize_by_weighting(st, p, word)
+    assert y == normalize_by_weighting(st, r, word2)
+    for a, b in [(x, y), (y, x), (x, x.inv()), (y.inv(), y), (x * y, y.inv()), (x, delta_power(st, r))]:
+        ab = a * b
+        assert_normal_form(ab)
+        assert ab == mul_by_weighting(a, b)
+    assert (x * x.inv()).is_identity and (y.inv() * y).is_identity

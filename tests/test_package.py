@@ -1,6 +1,9 @@
 """Package-wide source checks."""
 
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -79,3 +82,14 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert not unused, sorted(unused)
+
+
+def test_import_prints_nothing_with_warnings_as_errors():
+    # a fresh interpreter, so no module is imported yet and every import-time
+    # warning is raised as an error
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import garside"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -291,6 +291,33 @@ def test_budget_clock_covers_the_representative(monkeypatch):
     assert info.value.elapsed_ms > total_ms - rep_ms / 2
 
 
+def test_decide_budget_clock_covers_both_representatives(monkeypatch):
+    # decide_conjugacy starts its clock on entry, so the representatives of
+    # x and y count towards the reported time, and the budget is checked
+    # after each of them
+    rng = random.Random(1)
+    st = braid_structure(40)
+    x = normalize(st, 0, [random_simple(rng, 40) for _ in range(40)])
+    y = x.conj(normalize(st, 0, [random_simple(rng, 40) for _ in range(3)]))
+    phases = []
+
+    def timed_representative(z):
+        t0 = time.monotonic()
+        out = cstar_representative(z)
+        phases.append(time.monotonic() - t0)
+        return out
+
+    monkeypatch.setattr(summit, "cstar_representative", timed_representative)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        decide_conjugacy(x, y, budget_ms=50)
+    total_ms = (time.monotonic() - t0) * 1000.0
+    rep_ms = 1000.0 * sum(phases)
+    assert info.value.elapsed_ms >= rep_ms
+    # a clock started after the representatives would miss all of rep_ms
+    assert info.value.elapsed_ms > total_ms - rep_ms / 2
+
+
 @hs.composite
 def summit_bounds_inputs(draw):
     """

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from garside import transport
+from garside import cycling, transport
 from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
@@ -411,3 +411,44 @@ def test_summit_sets_keep_the_simple_product_contract(rng):
         x = normalize(st, rng.randint(-1, 1), word)
         for ss in (c_star(x), ultra_summit_set(x)):
             assert ss.verify_witnesses()
+
+
+def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
+    # the seed step of a key element builds its interior-order transports
+    # from the orbits its trajectory's closure walked; each must list the
+    # same context elements, in the same order, as a transport built by
+    # cycling from scratch
+    built = []
+
+    class RecordingOrbitTransport(OrbitTransport):
+        def __init__(self, x, q, orbit=None):
+            super().__init__(x, q, orbit)
+            built.append((self, orbit is not None))
+
+    monkeypatch.setattr(transport, "OrbitTransport", RecordingOrbitTransport)
+    for _ in range(24):
+        n = rng.choice([4, 5, 6, 7])
+        x = random_element(rng, n, max_len=3)
+        for ss in (ultra_summit_set(x), c_star(x)):
+            assert ss.verify_witnesses()
+    assert sum(reused for _, reused in built) >= 10
+    for ot, reused in built:
+        fresh = OrbitTransport(ot.x, ot.q)
+        assert [c.x for c in ot.contexts] == [c.x for c in fresh.contexts], (ot.x, ot.q)
+        x = ot.x
+        # only interior orders come from a closure, boundary orders never do
+        assert reused == (x.inf < ot.q < x.sup), (x, ot.q)
+
+
+def test_orbit_walk_from_a_start_that_is_not_recurrent():
+    # a recorded step map whose walk from the start enters a cycle that
+    # misses it: the walk raises instead of looping
+    a, b, c = (parse_word(w, 4) for w in ("1", "2", "3"))
+    with pytest.raises(NotRecurrentError):
+        cycling._walk_orbit(a, {a: b, b: c, c: b})
+    assert cycling._walk_orbit(a, {a: b, b: c, c: a}) == (a, b, c)
+    assert cycling._walk_orbit(a, {a: a}) == (a,)
+    # and a seed step from an element off its closed orbits still raises
+    x = parse_word("2 1 1", 3)
+    with pytest.raises(NotRecurrentError):
+        transport._seed_trajectories(x, "star")
