@@ -16,18 +16,20 @@ bitset row per position.  Each is the faster of the two algorithms for its
 operation in CPython (figures in their docstrings).
 
 The normal-form, cycling and transport layers ask for the same few
-thousand meets and joins over and over, so each structure memoises them
-(and its inverse, complement, tau and norm tables) in dicts of at most
-_CACHE_CAP entries.  A table that outgrows the cap is cleared whole, which
+thousand simple-lattice operations over and over, so each structure
+memoises them in one kind of table, _Memo: a dict from argument tuples to
+results that is cleared whole when it outgrows _CACHE_CAP entries, which
 bounds the memory of a long-lived process; under threads a clear that
-races with another call only costs that call a recomputation.  Meets and
-joins with D, the identity or equal arguments are answered before the memo.
-
-One level up, the steps of core.GarsideStructure (the transport chains'
-a-, b-, v- and w-steps and the normal form's slide) are memoised the same
-way, one table each keyed by the (factor, argument) pair, so a step that
-recurs costs one dict lookup instead of its chain of two to nine kernel
-calls, and the kernel memos are reached only on a step miss.
+races with another call only costs that call a recomputation.  The kernel
+tables hold the inverse, right complement, tau, meet and join of simples;
+meets and joins with D, the identity or equal arguments are answered
+before their table.  One level up, the steps of core.GarsideStructure (the
+transport chains' a-, b-, v- and w-steps and the normal form's slide) are
+tables of the generic steps keyed by the (factor, argument) pair, so a
+step that recurs costs one dict lookup instead of its chain of two to nine
+kernel calls, and the kernel tables are reached only on a step miss.  The
+atom count (norm) has no table: only exponent_sum asks for it, and mostly
+for simples it has not seen.
 """
 
 from __future__ import annotations
@@ -50,16 +52,34 @@ PermSimple = tuple[int, ...]
 # cap the same prefixes make at most 1% more kernel calls than with
 # unbounded tables (81,261 against 80,484 in B_20, 246,572 against 244,650
 # on the queries), while a cap of 8,192 took the peak RSS of the B_20
-# prefix from 24.7 to 31.0 MB.
+# prefix from 24.7 to 31.0 MB.  Clearing whole keeps a table half full on
+# average, where least-recently-used eviction keeps it at the cap: with
+# per-instance functools.lru_cache tables the in-process peak RSS of the
+# generic-b20 and queries prefixes went from 26.6 to 29.7 MB and from 26.8
+# to 30.7 MB (medians of five).
 _CACHE_CAP = 2048
 
 
-def _remember(cache: dict, key, value):
-    """Store value under key; a table that outgrows _CACHE_CAP is cleared."""
-    cache[key] = value
-    if len(cache) > _CACHE_CAP:
-        cache.clear()
-    return value
+class _Memo(dict):
+    """
+    fn memoised on its argument tuple: memo[args] is fn(*args).  A miss
+    that takes the table past _CACHE_CAP entries clears it and keeps only
+    the new entry.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, args):
+        value = self[args] = self.fn(*args)
+        if len(self) > _CACHE_CAP:
+            # storing before the check keeps the bound when threads race
+            self.clear()
+            self[args] = value
+        return value
 
 
 class BraidStructure(GarsideStructure):
@@ -75,17 +95,22 @@ class BraidStructure(GarsideStructure):
         self.order_of_tau = 1 if n == 2 else 2
         self.delta_norm = n * (n - 1) // 2
         self._values = frozenset(range(n))
-        self._inv_cache: dict[PermSimple, PermSimple] = {}
-        self._rc_cache: dict[PermSimple, PermSimple] = {}
-        self._tau_cache: dict[PermSimple, PermSimple] = {}
-        self._norm_cache: dict[PermSimple, int] = {}
-        self._meet_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._join_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._a_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._b_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._v_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._w_cache: dict[tuple[PermSimple, PermSimple], PermSimple] = {}
-        self._slide_cache: dict[tuple[PermSimple, PermSimple], tuple[PermSimple, PermSimple]] = {}
+        m = n - 1
+        # the kernel tables; meet and join answer their shortcuts first.  A
+        # simple is a tuple, so a table of one simple is keyed by the simple
+        # itself and its function takes the simple's entries: a 1-tuple key
+        # would cost 60 ns per hit and 64 bytes per entry (Python 3.11.7).
+        self._inverses = _Memo(self._inverse)
+        self._complements = _Memo(lambda *a: tuple(m - v for v in self.inverse_table(a)))
+        self._taus = _Memo(lambda *a: tuple(m - v for v in reversed(a)))
+        self._meets = _Memo(self._meet)
+        self._joins = _Memo(self._join)
+        # the generic steps, so the kernel is only called on a step miss
+        self._a_steps = _Memo(super().a_step)
+        self._b_steps = _Memo(super().b_step)
+        self._v_steps = _Memo(super().v_step)
+        self._w_steps = _Memo(super().w_step)
+        self._slides = _Memo(super().slide)
 
     def _transposition(self, k: int) -> PermSimple:
         t = list(range(self.n))
@@ -108,48 +133,31 @@ class BraidStructure(GarsideStructure):
         return operator.itemgetter(*a)(b)
 
     def inverse_table(self, a: PermSimple) -> PermSimple:
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            inv = [0] * self.n
-            for i, v in enumerate(a):
-                inv[v] = i
-            cached = _remember(self._inv_cache, a, tuple(inv))
-        return cached
+        return self._inverses[a]
+
+    def _inverse(self, *a: int) -> PermSimple:
+        inv = [0] * self.n
+        for i, v in enumerate(a):
+            inv[v] = i
+        return tuple(inv)
 
     def left_quotient(self, a: PermSimple, b: PermSimple) -> PermSimple:
         return self.mul(self.inverse_table(a), b)
 
     def right_complement(self, a: PermSimple) -> PermSimple:
-        cached = self._rc_cache.get(a)
-        if cached is None:
-            m = self.n - 1
-            cached = _remember(
-                self._rc_cache, a, tuple(m - v for v in self.inverse_table(a))
-            )
-        return cached
+        return self._complements[a]
 
     def tau(self, a: PermSimple) -> PermSimple:
-        cached = self._tau_cache.get(a)
-        if cached is None:
-            m = self.n - 1
-            cached = _remember(self._tau_cache, a, tuple(m - v for v in reversed(a)))
-        return cached
+        return self._taus[a]
 
     def tau_pow(self, a: PermSimple, k: int) -> PermSimple:
         """tau^k(a); tau is an involution here, so at most one table lookup."""
-        if k % self.order_of_tau == 0:
-            return a
-        cached = self._tau_cache.get(a)
-        return self.tau(a) if cached is None else cached
+        return a if k % self.order_of_tau == 0 else self._taus[a]
 
     def norm(self, a: PermSimple) -> int:
         """Atom count of the simple = inversion number of the permutation."""
-        cached = self._norm_cache.get(a)
-        if cached is None:
-            n = self.n
-            inversions = sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
-            cached = _remember(self._norm_cache, a, inversions)
-        return cached
+        n = self.n
+        return sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
 
     # -- the lattice ------------------------------------------------------
 
@@ -159,7 +167,7 @@ class BraidStructure(GarsideStructure):
         answered first: of the sweep time over the distinct meets of the
         ultra and C* sets of 30 test-3 braids of B_20 (l=5), pairs with a D
         argument took 24% and equal pairs 12%.  Everything else goes
-        through the memo to the greedy sweep _meet.
+        through the table to the greedy sweep _meet.
 
         Two replacements for the sweep were measured per distinct call on
         recorded B_20 workload arguments and rejected as no faster in
@@ -179,11 +187,7 @@ class BraidStructure(GarsideStructure):
             return b
         if a == self.identity or b == self.identity:
             return self.identity
-        key = (a, b)
-        cached = self._meet_cache.get(key)
-        if cached is None:
-            cached = _remember(self._meet_cache, key, self._meet(a, b))
-        return cached
+        return self._meets[a, b]
 
     def _meet(self, a: PermSimple, b: PermSimple) -> PermSimple:
         """
@@ -218,7 +222,7 @@ class BraidStructure(GarsideStructure):
         """
         Left lcm, memoised like meet.  Identity arguments, answered first,
         took 28% of the sweep time over the distinct joins of the same
-        B_20 workload.  Everything else goes through the memo to the
+        B_20 workload.  Everything else goes through the table to the
         bitset closure _join.
         """
         if a == b or b == self.identity:
@@ -227,11 +231,7 @@ class BraidStructure(GarsideStructure):
             return b
         if a == self.delta or b == self.delta:
             return self.delta
-        key = (a, b)
-        cached = self._join_cache.get(key)
-        if cached is None:
-            cached = _remember(self._join_cache, key, self._join(a, b))
-        return cached
+        return self._joins[a, b]
 
     def _join(self, a: PermSimple, b: PermSimple) -> PermSimple:
         """
@@ -292,43 +292,25 @@ class BraidStructure(GarsideStructure):
             return False
 
     # -- memoised steps ------------------------------------------------------
-    # The generic steps, each memoised on its (factor, argument) pair, so the
-    # kernel calls above are only made on a miss.
+    # One-line methods rather than tables with a __call__ method, which is
+    # slower to call: a hit on a table of 200 pairs of B_10 simples took
+    # 0.28 us through a method and 0.36 us through __call__ (minima of 30
+    # interleaved timings, Python 3.11.7).
 
     def a_step(self, x: PermSimple, a: PermSimple) -> PermSimple:
-        key = (x, a)
-        cached = self._a_cache.get(key)
-        if cached is None:
-            cached = _remember(self._a_cache, key, super().a_step(x, a))
-        return cached
+        return self._a_steps[x, a]
 
     def b_step(self, x: PermSimple, b: PermSimple) -> PermSimple:
-        key = (x, b)
-        cached = self._b_cache.get(key)
-        if cached is None:
-            cached = _remember(self._b_cache, key, super().b_step(x, b))
-        return cached
+        return self._b_steps[x, b]
 
     def v_step(self, x: PermSimple, v: PermSimple) -> PermSimple:
-        key = (x, v)
-        cached = self._v_cache.get(key)
-        if cached is None:
-            cached = _remember(self._v_cache, key, super().v_step(x, v))
-        return cached
+        return self._v_steps[x, v]
 
     def w_step(self, x: PermSimple, w: PermSimple) -> PermSimple:
-        key = (x, w)
-        cached = self._w_cache.get(key)
-        if cached is None:
-            cached = _remember(self._w_cache, key, super().w_step(x, w))
-        return cached
+        return self._w_steps[x, w]
 
     def slide(self, a: PermSimple, b: PermSimple) -> tuple[PermSimple, PermSimple]:
-        key = (a, b)
-        cached = self._slide_cache.get(key)
-        if cached is None:
-            cached = _remember(self._slide_cache, key, super().slide(a, b))
-        return cached
+        return self._slides[a, b]
 
     # -- conversions -------------------------------------------------------
 
@@ -425,7 +407,10 @@ def random_simple(rng: random.Random, n: int) -> PermSimple:
     """
     A uniform random non-identity simple of B_n (D included).  Determined by
     the generator state, so a fixed seed reproduces the same sequence.
+    Raises ValueError for n < 2, where the identity is the only simple.
     """
+    if n < 2:
+        raise ValueError("braid groups need at least 2 strands")
     table = list(range(n))
     while True:
         rng.shuffle(table)

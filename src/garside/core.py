@@ -44,7 +44,9 @@ class GarsideStructure(abc.ABC):
     distinguished elements and maps the normal-form machinery needs.
 
     Concrete subclasses must be hashable and comparable by value, since
-    elements embed a reference to their structure.
+    elements embed a reference to their structure.  Simple handles are
+    hashable and compared by value too: callers test for the identity and
+    D with == against the identity and delta attributes.
     """
 
     identity: Simple
@@ -90,12 +92,6 @@ class GarsideStructure(abc.ABC):
             a = self.tau(a)
         return a
 
-    def is_identity(self, a: Simple) -> bool:
-        return a == self.identity
-
-    def is_delta(self, a: Simple) -> bool:
-        return a == self.delta
-
     def atom_divides(self, k: int, a: Simple) -> bool:
         """Whether the k-th atom left-divides the simple a."""
         atom = self.atoms[k]
@@ -139,7 +135,7 @@ class GarsideStructure(abc.ABC):
         factor pair, which returns (a, b) when the pair is left-weighted.
         """
         c = self.meet(self.right_complement(a), b)
-        if self.is_identity(c):
+        if c == self.identity:
             return a, b
         return self.mul(a, c), self.left_quotient(c, b)
 
@@ -290,9 +286,9 @@ def simple_element(struct: GarsideStructure, a: Simple, power: int = 0) -> Canon
     The element D^power * a for a single simple a, which must be a handle
     that the structure produced; it is not checked (see normalize).
     """
-    if struct.is_delta(a):
+    if a == struct.delta:
         return CanonicalElement(struct, power + 1, ())
-    if struct.is_identity(a):
+    if a == struct.identity:
         return CanonicalElement(struct, power, ())
     return CanonicalElement(struct, power, (a,))
 
@@ -337,9 +333,9 @@ def _right_multiply(
     """
     out = list(left)
     slide = struct.slide
-    is_id = struct.is_identity
+    identity = struct.identity
     for j, f in enumerate(letters):
-        if is_id(f):
+        if f == identity:
             continue
         i = len(out) - 1
         out.append(f)
@@ -350,13 +346,13 @@ def _right_multiply(
                 break
             out[i], out[i + 1] = a, rest
             i -= 1
-        if is_id(out[-1]):
+        if out[-1] == identity:
             out.pop()
         elif normal and i == len(out) - 2:  # f arrived unchanged
             out.extend(letters[j + 1:])
             break
     dp = 0
-    is_delta = struct.is_delta
-    while dp < len(out) and is_delta(out[dp]):
+    delta = struct.delta
+    while dp < len(out) and out[dp] == delta:
         dp += 1
     return dp, tuple(out[dp:])

@@ -134,24 +134,24 @@ def _summit_closure(
     x: CanonicalElement,
     kind: str,
     budget: _Budget,
-    rep: WitnessedElement | None,
+    rep: WitnessedElement,
     target: CanonicalElement | None = None,
 ) -> SummitSet:
-    # the caller starts the budget, so the representatives count too
-    if rep is None:
-        rep = cstar_representative(x)
-        budget.count()
+    # rep is x's refined-summit representative, which the caller computes
+    # under the budget it started, so the representative counts too
     y0, w0 = rep.element, rep.witness
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
-    trajectories: list[Trajectory] = []
+    # only the star kind returns its trajectories, so only it keeps them
+    trajectories: list[Trajectory] | None = [] if kind == "star" else None
     # key elements still to seed, each with its closed orbits at the
     # interior orders, which its trajectory's closure has just walked
     queue: list[tuple[CanonicalElement, dict]] = []
 
     def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:
         traj, orbits = _closure_trajectory(z, kind, conj_to_z)
-        trajectories.append(traj)
+        if trajectories is not None:
+            trajectories.append(traj)
         budget.count(len(traj))
         witnesses.update(traj.witnesses)
         queue.append((traj.key_element, orbits))
@@ -183,7 +183,7 @@ def _summit_closure(
         witnesses=witnesses,
         infs=y0.inf,
         sups=y0.sup,
-        trajectories=tuple(trajectories) if kind == "star" else None,
+        trajectories=None if trajectories is None else tuple(trajectories),
     )
 
 
@@ -196,7 +196,10 @@ def summit_set(
 ) -> SummitSet:
     """The summit set of the given kind: "super", "ultra" or "star"."""
     recurrence_orders(kind, x)  # rejects an unknown kind before any work
-    return _summit_closure(x, kind, _Budget(kind, budget_ms, max_size), None)
+    budget = _Budget(kind, budget_ms, max_size)
+    rep = cstar_representative(x)
+    budget.count()
+    return _summit_closure(x, kind, budget, rep)
 
 
 def super_summit_set(x: CanonicalElement, **limits) -> SummitSet:

@@ -31,10 +31,10 @@ def assert_normal_form(x: CanonicalElement) -> None:
     """
     s = x.struct
     for f in x.factors:
-        if s.is_identity(f) or s.is_delta(f):
+        if f == s.identity or f == s.delta:
             raise AssertionError("factor equals identity or Delta")
     for a, b in zip(x.factors, x.factors[1:]):
-        if not s.is_identity(s.meet(s.right_complement(a), b)):
+        if s.meet(s.right_complement(a), b) != s.identity:
             raise AssertionError("adjacent factors not left-weighted")
 
 
@@ -62,7 +62,7 @@ def general_meet(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
     acc = []
     while True:
         c = s.meet(first_factor(a), first_factor(b))
-        if s.is_identity(c):
+        if c == s.identity:
             break
         acc.append(c)
         ce = simple_element(s, c)
@@ -226,17 +226,17 @@ def weight_factors(struct, factors: list, suspects) -> tuple[int, tuple]:
                 todo.append(j)
     dp = 0
     lo, hi = 0, len(factors)
-    while lo < hi and struct.is_delta(factors[lo]):
+    while lo < hi and factors[lo] == struct.delta:
         lo += 1
         dp += 1
-    while lo < hi and struct.is_identity(factors[hi - 1]):
+    while lo < hi and factors[hi - 1] == struct.identity:
         hi -= 1
     return dp, tuple(factors[lo:hi])
 
 
 def normalize_by_weighting(struct, power: int, word) -> CanonicalElement:
     """Left normal form of D^power * word by weight_factors over every pair."""
-    factors = [f for f in word if not struct.is_identity(f)]
+    factors = [f for f in word if f != struct.identity]
     dp, out = weight_factors(struct, factors, range(len(factors) - 1))
     return CanonicalElement(struct, power + dp, out)
 
@@ -251,13 +251,13 @@ def mul_by_weighting(x: CanonicalElement, y: CanonicalElement) -> CanonicalEleme
 
 def nontrivial_simples(st: BraidStructure):
     for tab in itertools.permutations(range(st.n)):
-        if not st.is_identity(tab):
+        if tab != st.identity:
             yield tab
 
 
 def proper_simples(st: BraidStructure):
     for tab in nontrivial_simples(st):
-        if not st.is_delta(tab):
+        if tab != st.delta:
             yield tab
 
 
@@ -265,7 +265,7 @@ def bounded_positive_elements(st: BraidStructure, cap: int) -> list[CanonicalEle
     """All z with 0 <= inf z and sup z <= cap (finite for fixed n)."""
     proper = list(proper_simples(st))
     follows = {
-        a: [b for b in proper if st.is_identity(st.meet(st.right_complement(a), b))]
+        a: [b for b in proper if st.meet(st.right_complement(a), b) == st.identity]
         for a in proper
     }
     out = []

@@ -3,9 +3,12 @@
 import collections
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +168,9 @@ def _drive_kernel(st, pairs):
 
 
 def _assert_caches_bounded(st):
+    # every table of a structure is a bounded memo, never a hand-rolled dict
     caches = [v for v in vars(st).values() if isinstance(v, dict)]
+    assert caches and all(isinstance(c, braid._Memo) for c in caches)
     assert all(len(c) <= braid._CACHE_CAP for c in caches)
 
 
@@ -191,7 +196,7 @@ def test_caches_bounded_and_correct_after_clear():
         _drive_kernel(st, pairs[k:k + 100])
         _assert_caches_bounded(st)
     # more distinct calls than the cap went in, so the tables were cleared
-    assert len(st._meet_cache) < len(set(pairs))
+    assert len(st._meets) < len(set(pairs))
     _assert_kernel_matches(st, pairs[:400] + pairs[-400:])
     _assert_caches_bounded(st)
 
@@ -200,15 +205,15 @@ def test_step_memos_bounded_after_many_operations(monkeypatch):
     # summit sets on a fresh structure until every step memo has taken more
     # entries than the cap, so each one was cleared at least once
     st = BraidStructure(6)
-    steps = [st._a_cache, st._b_cache, st._v_cache, st._w_cache, st._slide_cache]
+    steps = [st._a_steps, st._b_steps, st._v_steps, st._w_steps, st._slides]
     stored = collections.Counter()
-    remember = braid._remember
+    missing = braid._Memo.__missing__
 
-    def counting_remember(cache, key, value):
-        stored[id(cache)] += 1
-        return remember(cache, key, value)
+    def counting_missing(memo, args):
+        stored[id(memo)] += 1
+        return missing(memo, args)
 
-    monkeypatch.setattr(braid, "_remember", counting_remember)
+    monkeypatch.setattr(braid._Memo, "__missing__", counting_missing)
     rng = random.Random(11)
     for _ in range(400):
         if min(stored[id(c)] for c in steps) > braid._CACHE_CAP:
@@ -219,6 +224,24 @@ def test_step_memos_bounded_after_many_operations(monkeypatch):
         _assert_caches_bounded(st)
     assert min(stored[id(c)] for c in steps) > braid._CACHE_CAP
     _assert_caches_bounded(st)
+
+
+def test_memo_contract(monkeypatch):
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        return a + b
+
+    memo = braid._Memo(fn)
+    assert memo[1, 2] == 3 and calls == [(1, 2)]  # a miss calls fn once
+    assert memo[1, 2] == 3 and calls == [(1, 2)]  # a hit does not call it
+    monkeypatch.setattr(braid, "_CACHE_CAP", 3)
+    for k in range(2, 4):
+        memo[k, 0]
+    assert len(memo) == 3
+    assert memo[9, 9] == 18  # a miss at the cap clears the table first
+    assert dict(memo) == {(9, 9): 18} and calls[-1] == (9, 9)
 
 
 def test_caches_shared_between_threads():
@@ -405,3 +428,24 @@ def test_random_simple_deterministic():
 def test_braids_need_two_strands():
     with pytest.raises(ValueError):
         braid_structure(1)
+
+
+def test_random_simple_needs_two_strands():
+    # with fewer than two strands the identity is the only simple, so a
+    # search for a non-identity one used to spin forever: run it in a child
+    # interpreter that a timeout can kill
+    code = (
+        "import random\n"
+        "from garside.braid import random_simple\n"
+        "for n in (1, 0):\n"
+        "    try:\n"
+        "        random_simple(random.Random(0), n)\n"
+        "    except ValueError:\n"
+        "        print(n)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(braid.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0"]

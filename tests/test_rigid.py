@@ -39,10 +39,10 @@ def test_rigid_iff_normal_form_survives_one_cycle(rng):
         st = x.struct
         extended = list(x.factors) + [st.tau_pow(x.factors[0], -x.power)]
         weighted = all(
-            st.is_identity(st.meet(st.right_complement(a), b))
+            st.meet(st.right_complement(a), b) == st.identity
             for a, b in zip(extended, extended[1:])
         )
-        ok = weighted and not st.is_delta(extended[0]) and not st.is_identity(extended[-1])
+        ok = weighted and extended[0] != st.delta and extended[-1] != st.identity
         assert is_rigid(x) == ok, x
 
 
