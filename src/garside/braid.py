@@ -23,11 +23,13 @@ bounds the memory of a long-lived process; under threads a clear that
 races with another call only costs that call a recomputation.  The kernel
 tables hold the inverse, right complement, tau, meet and join of simples;
 meets and joins with D, the identity or equal arguments are answered
-before their table.  One level up, the steps of core.GarsideStructure (the
-transport chains' a-, b-, v- and w-steps and the normal form's slide) are
-tables of the generic steps keyed by the (factor, argument) pair, so a
-step that recurs costs one dict lookup instead of its chain of two to nine
-kernel calls, and the kernel tables are reached only on a step miss.  The
+before their table.  One level up, the four steps of core.GarsideStructure
+(the transport chains' a-, v- and w-steps and the normal form's slide,
+whose first factor is also the pushforward's b-chain step) are tables of
+the generic steps keyed by the (factor, argument) pair, so a step that
+recurs costs one dict lookup instead of its chain of two to four kernel
+calls, and the kernel tables are reached only on a step miss; a v-step
+miss goes through the slide and w-step tables.  Nine tables in all.  The
 atom count (norm) has no table: only exponent_sum asks for it, and mostly
 for simples it has not seen.
 """
@@ -47,16 +49,18 @@ PermSimple = tuple[int, ...]
 # sweeps with unbounded tables and 13,886 with this cap, at a peak RSS of
 # 24.6 MB against 19.5 MB (16.5 MB with no memo; Python 3.11.7).  On the
 # first pass over the fixed operation prefixes of the three benchmark
-# workloads (seed 3), unbounded step tables end with 305 - 5,168 entries for
-# the transport steps and up to 17,602 for slide (B_10 queries).  With this
-# cap the same prefixes make at most 1% more kernel calls than with
-# unbounded tables (81,261 against 80,484 in B_20, 246,572 against 244,650
-# on the queries), while a cap of 8,192 took the peak RSS of the B_20
-# prefix from 24.7 to 31.0 MB.  Clearing whole keeps a table half full on
-# average, where least-recently-used eviction keeps it at the cap: with
-# per-instance functools.lru_cache tables the in-process peak RSS of the
-# generic-b20 and queries prefixes went from 26.6 to 29.7 MB and from 26.8
-# to 30.7 MB (medians of five).
+# workloads (seed 3), unbounded step tables end with 305 - 8,197 entries for
+# the transport steps and up to 18,704 for slide (B_10 queries), which also
+# serves the pushforward's b-chain.  With this cap the same prefixes make at
+# most 3% more kernel calls (meet, join, mul, left_quotient and
+# right_complement) than with unbounded tables (55,276 against 53,843 in
+# B_20, 124,073 against 122,156 on the queries), while a cap of 8,192 took
+# the in-process peak RSS of the B_20 prefix from 25.1 to 32.0 MB.
+# Clearing whole keeps a table half full on average, where
+# least-recently-used eviction keeps it at the cap: with per-instance
+# functools.lru_cache tables the in-process peak RSS of the generic-b20 and
+# queries prefixes went from 26.6 to 29.7 MB and from 26.8 to 30.7 MB
+# (medians of five).
 _CACHE_CAP = 2048
 
 
@@ -107,7 +111,6 @@ class BraidStructure(GarsideStructure):
         self._joins = _Memo(self._join)
         # the generic steps, so the kernel is only called on a step miss
         self._a_steps = _Memo(super().a_step)
-        self._b_steps = _Memo(super().b_step)
         self._v_steps = _Memo(super().v_step)
         self._w_steps = _Memo(super().w_step)
         self._slides = _Memo(super().slide)
@@ -125,6 +128,11 @@ class BraidStructure(GarsideStructure):
 
     def __repr__(self) -> str:
         return f"BraidStructure(n={self.n})"
+
+    def __reduce__(self):
+        # the tables hold closures, so a pickle names the interned structure
+        # and unpickling shares its memos instead of shipping them
+        return braid_structure, (self.n,)
 
     # -- primitive table operations -------------------------------------
 
@@ -299,9 +307,6 @@ class BraidStructure(GarsideStructure):
 
     def a_step(self, x: PermSimple, a: PermSimple) -> PermSimple:
         return self._a_steps[x, a]
-
-    def b_step(self, x: PermSimple, b: PermSimple) -> PermSimple:
-        return self._b_steps[x, b]
 
     def v_step(self, x: PermSimple, v: PermSimple) -> PermSimple:
         return self._v_steps[x, v]

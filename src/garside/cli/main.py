@@ -8,7 +8,8 @@ for inverse generators) and "D"/"D^-1" letters.  Exit codes: 0 success,
 
 With --json the output of every command except bench is a single sorted
 JSON object and is byte-identical across runs for identical flags and
-seed; bench emits CSV whose timing columns naturally vary.
+seed; bench takes no --json and emits CSV whose timing columns naturally
+vary.  Only gen and bench draw random braids, so only they take --seed.
 """
 
 from __future__ import annotations
@@ -199,11 +200,15 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="garside", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="strand count")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (fallback: env GARSIDE_SEED, then 0)")
+    strands = argparse.ArgumentParser(add_help=False)
+    strands.add_argument("--n", type=int, required=True, help="strand count")
+    common = argparse.ArgumentParser(add_help=False, parents=[strands])
     common.add_argument("--json", action="store_true", help="machine-readable output")
+
+    # only the commands that draw random braids read a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="random seed (fallback: env GARSIDE_SEED, then 0)")
 
     # only the commands that build summit sets honour these
     limits = argparse.ArgumentParser(add_help=False)
@@ -217,9 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_nf)
 
     p = sub.add_parser("cyc", parents=[common], help="cycling operations")
-    p.add_argument("--order", type=int, default=None, help="cycling order q")
-    p.add_argument("--double", type=int, nargs=2, default=None, metavar=("P", "Q"),
-                   help="double-order cycling (p, q)")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--order", type=int, default=None, help="cycling order q")
+    order.add_argument("--double", type=int, nargs=2, default=None, metavar=("P", "Q"),
+                       help="double-order cycling (p, q)")
     p.add_argument("word")
     p.set_defaults(fn=cmd_cyc)
 
@@ -244,12 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(fn=cmd_rigid_power)
 
-    p = sub.add_parser("gen", parents=[common], help="random braid generators")
+    p = sub.add_parser("gen", parents=[common, seeded], help="random braid generators")
     p.add_argument("--test", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--l", type=int, required=True, help="target length parameter")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common, limits], help="benchmark harness (CSV)")
+    p = sub.add_parser("bench", parents=[strands, seeded, limits],
+                       help="benchmark harness (CSV)")
     p.add_argument("--test", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)

@@ -100,30 +100,23 @@ class GarsideStructure(abc.ABC):
     # -- steps --------------------------------------------------------------
     # The normal form and the transport chains (transport.py) move one
     # factor x at a time, so each of their steps is a function of a pair of
-    # simples.  The defaults compute a step from the lattice operations; a
-    # structure may memoise them.  a\b = a^{-1} (a \/ b) is the residual of
-    # Dehornoy et al., Foundations of Garside Theory (2015).
+    # simples.  Three steps reach the lattice: the normal form's slide, the
+    # residual x\w = x^{-1} (x \/ w) of Dehornoy et al., Foundations of
+    # Garside Theory (2015), and the a-step.  The pushforward's other chain
+    # takes the first factor of a slide, and the v-step is a slide followed
+    # by a residual.  A structure may memoise any of the four.
 
     def a_step(self, x: Simple, a: Simple) -> Simple:
         """rc((x /\\ a)^{-1} x)."""
         return self.right_complement(self.left_quotient(self.meet(x, a), x))
-
-    def b_step(self, x: Simple, b: Simple) -> Simple:
-        """x (rc(x) /\\ b)."""
-        return self.mul(x, self.meet(self.right_complement(x), b))
 
     def v_step(self, x: Simple, v: Simple) -> Simple:
         """
         D^{-1} (D \\/ tau^{-1}(x v)).  With tau^{-1}(x v) = cp dp in normal
         form and r = rc(cp), this is the residual r\\dp.
         """
-        c = self.tau_pow(x, -1)
-        d = self.tau_pow(v, -1)
-        t = self.meet(self.right_complement(c), d)
-        cp = self.mul(c, t)
-        dp = self.left_quotient(t, d)
-        r = self.right_complement(cp)
-        return self.left_quotient(r, self.join(r, dp))
+        cp, dp = self.slide(self.tau_pow(x, -1), self.tau_pow(v, -1))
+        return self.w_step(self.right_complement(cp), dp)
 
     def w_step(self, x: Simple, w: Simple) -> Simple:
         """The residual x\\w = x^{-1} (x \\/ w)."""

@@ -15,11 +15,14 @@ shape D^m * simple stays in that shape and must eventually repeat.
 
 Arguments of that shape are all the algorithms ever need, and for them both
 maps reduce to pure simple-lattice calculus on the normal form of x: chains
-of one structure step per factor (GarsideStructure.a_step and b_step for
-the pushforward, v_step and w_step for the pullback), each a function of
-the factor and the running simple that a structure may memoise.  The w-step
-is the residual x\\w = x^{-1} (x \\/ w), and the v-step ends in one.  A
-leading D^m peels off through tau:  phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).
+of one structure step per factor, each a function of the factor and the
+running simple that a structure may memoise.  The pushforward runs
+GarsideStructure.a_step and the normal form's own slide, of which it keeps
+the first factor; the pullback runs v_step and w_step.  The w-step is the
+residual x\\w = x^{-1} (x \\/ w), and the v-step is a slide followed by
+one.  A leading D^m peels off through tau:
+phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).  Outside [inf x, sup x] the
+pushforward has a closed form (see TransportContext).
 
 Composing the single steps around a closed orbit of the order-q cycling
 gives the orbit transports (pushforward forwards, pullback in reversed
@@ -43,7 +46,6 @@ from .core import (
     CanonicalElement,
     GarsideStructure,
     Simple,
-    delta_power,
     simple_element,
 )
 from .cycling import NotRecurrentError, recurrence_orders, recurrent_representative
@@ -54,14 +56,15 @@ def _phi_simple(
 ) -> Simple:
     """
     Pushforward of a simple u (u != D) along the order-(p+k) cycling of
-    D^p x_1...x_l, evaluated by the two normal-form chains of the
-    structure's a-steps and b-steps
+    D^p x_1...x_l, evaluated by two normal-form chains, of the structure's
+    a-steps and of the first factors of its slides,
 
         a_0 = tau^p(u),  a_i = a_step(x_i, a_{i-1}) = rc( (x_i /\\ a_{i-1})^{-1} x_i )
-        b_{l+1} = u,     b_i = b_step(x_i, b_{i+1}) = x_i * ( rc(x_i) /\\ b_{i+1} )
+        b_{l+1} = u,     b_i = slide(x_i, b_{i+1})[0] = x_i * ( rc(x_i) /\\ b_{i+1} )
 
-    (a-steps for i = 1..k, b-steps for i = l..k+1), whose meet a_k /\\ b_{k+1}
-    is the pushforward.
+    (a-steps for i = 1..k, slides for i = l..k+1), whose meet a_k /\\ b_{k+1}
+    is the pushforward.  b_i is x_i b_{i+1} /\\ D, the first factor of the
+    normal form of x_i b_{i+1}.
     """
     a = u
     if p % s.order_of_tau:
@@ -70,7 +73,7 @@ def _phi_simple(
         a = s.a_step(factors[i], a)
     b = u
     for i in range(len(factors) - 1, k - 1, -1):
-        b = s.b_step(factors[i], b)
+        b = s.slide(factors[i], b)[0]
     return s.meet(a, b)
 
 
@@ -86,9 +89,9 @@ def _pi_simple(
 
     (v-steps for i = k..1, w-steps for i = k+1..l), joined as
     tau^{-p}(v_0) \\/ w_{l+1}.  The w-step is the residual
-    x\\w = x^{-1} (x \\/ w), and the v-step ends in one: with
-    tau^{-1}(x v) = cp dp in normal form and r = rc(cp),
-    D^{-1} (D \\/ cp dp) = r\\dp.
+    x\\w = x^{-1} (x \\/ w), and the v-step is a slide followed by one:
+    with (cp, dp) = slide(tau^{-1}(x), tau^{-1}(v)), the normal form of
+    tau^{-1}(x v), and r = rc(cp), D^{-1} (D \\/ cp dp) = r\\dp.
     """
     v = u
     for i in range(k - 1, -1, -1):
@@ -107,8 +110,11 @@ class TransportContext:
     the shape D^m * simple.  Immutable once built; safe to share.
 
     For q in [inf x, sup x] both maps run the factor chains on the normal
-    form of x; push also accepts orders outside that range, where the step
-    is tau^q or trivial, and evaluates the defining formula directly.
+    form of x.  push also accepts orders outside that range, where it has
+    a closed form.  With u = D^m s, x^u = s^{-1} tau^m(x) s, so
+    inf x^u >= inf x - 1 and sup x^u <= sup x + 1.  From
+    (x /\\ D^q) phi(u) = u (x^u /\\ D^q): for q < inf x both meets are D^q
+    and phi(u) = tau^q(u); for q > sup x they are x and x^u, and phi(u) = u.
     """
 
     def __init__(self, x: CanonicalElement, q: int):
@@ -123,13 +129,11 @@ class TransportContext:
 
     def push(self, u: CanonicalElement) -> CanonicalElement:
         s, x, q = self.struct, self.x, self.q
-        if q < x.inf:
-            # x /\ D^q = D^q, so phi(u) = D^{-q} u (x^u /\ D^q)
-            return delta_power(s, -q) * u * x.conj(u).meet_delta(q)
-        if q > x.sup:
-            # the step is trivial and phi(u) = x^{-1} u (x^u /\ D^q)
-            return x.inv() * u * x.conj(u).meet_delta(q)
         m, su = self._split(u)
+        if q < x.inf:
+            return u.tau_pow(q)
+        if q > x.sup:
+            return u
         phi = _phi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
         return simple_element(s, phi, m)
 

@@ -160,6 +160,8 @@ def sweep_join(a: tuple, b: tuple) -> tuple:
 # The transport chain steps and the normal form's slide, each written out
 # from the lattice operations with no memo: the references for the
 # GarsideStructure step defaults and BraidStructure's memoised overrides.
+# b_step is the pushforward's b-chain step, which the library takes as the
+# first factor of a slide.
 
 
 def a_step(s, x, a):
@@ -191,7 +193,6 @@ def slide(s, a, b):
 
 STEP_ORACLES = {
     "a_step": a_step,
-    "b_step": b_step,
     "v_step": v_step,
     "w_step": w_step,
     "slide": slide,

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -25,8 +26,9 @@ from garside.braid import (
     word_str,
 )
 from garside.core import GarsideStructure, delta_power, normalize, simple_element
-from garside.summit import c_star, ultra_summit_set
+from garside.summit import c_star, decide_conjugacy, ultra_summit_set
 
+import oracles
 from conftest import random_element
 from oracles import STEP_ORACLES, simple_divides, sweep_join, sweep_meet
 
@@ -153,6 +155,39 @@ def test_steps_match_the_inline_chains(args):
         assert getattr(GarsideStructure, name)(st, x, y) == expected, name
         for _ in range(2):  # a miss, then a memo hit
             assert getattr(st, name)(x, y) == expected, name
+    assert st.slide(x, y)[0] == oracles.b_step(st, x, y)  # the b-chain step
+
+
+def _assert_step_identities(st, x, y):
+    # the pushforward's b-chain takes the first factor of a slide; the
+    # v-step is a slide followed by a residual; and the a-step, which keeps
+    # its own body, is the first factor of a slide too
+    assert oracles.b_step(st, x, y) == st.slide(x, y)[0]
+    c, d = st.tau_pow(x, -1), st.tau_pow(y, -1)
+    cp, dp = oracles.slide(st, c, d)
+    expected = oracles.v_step(st, x, y)
+    assert oracles.w_step(st, st.right_complement(cp), dp) == expected
+    assert GarsideStructure.v_step(st, x, y) == expected
+    assert oracles.a_step(st, x, y) == oracles.slide(st, st.right_complement(x), st.tau(y))[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_step_identities_exhaustive(n):
+    st = BraidStructure(n)  # not the interned structure: memos start empty
+    simples = all_simples(n)
+    for x in simples:
+        for y in simples:
+            _assert_step_identities(st, x, y)
+
+
+def test_step_identities_random():
+    rng = random.Random(14)
+    for n in (6, 7, 8, 10, 12, 16, 20):
+        st = BraidStructure(n)
+        for _ in range(300):
+            x, y = random_simple(rng, n), random_simple(rng, n)
+            _assert_step_identities(st, x, y)
+            _assert_step_identities(st, x, sweep_meet(st.right_complement(x), y))
 
 
 def _drive_kernel(st, pairs):
@@ -185,6 +220,7 @@ def _assert_kernel_matches(st, pairs):
         assert st.norm(a) == sum(a[i] > a[j] for i in range(n) for j in range(i + 1, n))
         for name, oracle in STEP_ORACLES.items():
             assert getattr(st, name)(a, b) == oracle(st, a, b), name
+        assert st.slide(a, b)[0] == oracles.b_step(st, a, b)
 
 
 def test_caches_bounded_and_correct_after_clear():
@@ -205,7 +241,7 @@ def test_step_memos_bounded_after_many_operations(monkeypatch):
     # summit sets on a fresh structure until every step memo has taken more
     # entries than the cap, so each one was cleared at least once
     st = BraidStructure(6)
-    steps = [st._a_steps, st._b_steps, st._v_steps, st._w_steps, st._slides]
+    steps = [st._a_steps, st._v_steps, st._w_steps, st._slides]
     stored = collections.Counter()
     missing = braid._Memo.__missing__
 
@@ -274,6 +310,24 @@ def test_caches_shared_between_threads():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
     _assert_caches_bounded(st)
+
+
+def test_elements_and_answers_pickle():
+    # a pickle names the interned structure, so no memo table (whose
+    # functions are closures) is shipped and the caches stay shared
+    n = 4
+    x = parse_word("1 2 1 1", n)
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and y.struct is braid_structure(n)
+    ss = pickle.loads(pickle.dumps(c_star(x)))
+    assert ss.members == c_star(x).members and ss.base.struct is braid_structure(n)
+    assert ss.verify_witnesses()
+    target = parse_word("2 1 1 1", n)
+    ans = pickle.loads(pickle.dumps(decide_conjugacy(x, target)))
+    assert ans.conjugate and x.conj(ans.witness) == target
+    assert ans.witness.struct is braid_structure(n)
+    fresh = pickle.loads(pickle.dumps(BraidStructure(n)))
+    assert fresh is braid_structure(n)
 
 
 def test_meet_examples():

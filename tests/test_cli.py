@@ -171,6 +171,31 @@ def test_limits_rejected_where_not_honoured(argv, limit, capsys):
     assert f"unrecognized arguments: {' '.join(limit)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    *[(argv, ["--seed", "3"]) for argv in (
+        ["nf", "--n", "3", "1"],
+        ["cyc", "--n", "3", "1 1"],
+        ["summit", "--n", "3", "1 1"],
+        ["conj", "--n", "3", "1", "2"],
+        ["rigid", "--n", "3", "1"],
+        ["rigid-power", "--n", "3", "1 1"],
+    )],
+    (["bench", "--test", "3", "--n", "3", "--l", "1", "--samples", "1"], ["--json"]),
+    (["cyc", "--n", "3", "--double", "2", "1", "1"], ["--order", "1"]),
+])
+def test_ignored_flags_rejected(argv, flag, capsys):
+    # only gen and bench draw random braids, bench prints CSV, and cyc
+    # takes one of --order and --double
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "not allowed with argument" in err
+    assert flag[0] in err
+
+
 def test_conj_honours_the_limits():
     assert run_cli("conj", "--n", "3", "1 1", "2 2", "--max-size", "1").returncode == 3
     r = run_cli("conj", "--n", "3", "1 1", "2 2", "--max-size", "2", "--budget-ms", "60000")

@@ -2,10 +2,14 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
+
+import pytest
 
 import garside
 
@@ -93,3 +97,29 @@ def test_import_prints_nothing_with_warnings_as_errors():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def _readme_and_quick_start():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    doc = garside.__doc__.split("Quick start::\n", 1)[1]
+    quick = re.match(r"(?:\n|    .*\n)+", doc).group(0)
+    examples = {f"readme-{i}": code for i, code in enumerate(blocks)}
+    examples["quick-start"] = textwrap.dedent(quick)
+    return examples
+
+
+EXAMPLES = _readme_and_quick_start()
+
+
+@pytest.mark.parametrize("code", EXAMPLES.values(), ids=EXAMPLES.keys())
+def test_documented_examples_run_with_warnings_as_errors(code):
+    # the README's python blocks and the package docstring's quick start,
+    # each in a fresh interpreter, so an edit to either is kept runnable
+    assert "import" in code
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr

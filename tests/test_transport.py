@@ -181,6 +181,10 @@ def test_transport_argument_validation():
         TransportContext(x, x.inf + 3).pull(simple_element(st, st.atoms[0]))
     with pytest.raises(ValueError):
         TransportContext(x, 1).push(x)  # canonical length 2
+    # outside [inf x, sup x] too, where push has a closed form
+    for q in (x.inf - 1, x.sup + 1):
+        with pytest.raises(ValueError):
+            TransportContext(x, q).push(x)
     ident = identity_element(st)
     assert TransportContext(x, 1).push(ident) == ident
 
