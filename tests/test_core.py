@@ -1,6 +1,9 @@
 """Normal-form arithmetic: uniqueness, prefix law, group operations."""
 
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from garside.core import (
 )
 
 from conftest import random_element
+import oracles
 from oracles import assert_normal_form, mul_by_weighting, normalize_by_weighting
 
 
@@ -247,3 +251,134 @@ def test_products_and_normalize_match_the_weighting_oracle(case):
         assert_normal_form(ab)
         assert ab == mul_by_weighting(a, b)
     assert (x * x.inv()).is_identity and (y.inv() * y).is_identity
+
+
+def test_element_is_an_immutable_value():
+    st = BraidStructure(4)  # not the interned structure
+    x = normalize(st, -1, [(1, 0, 3, 2), (2, 1, 0, 3)])
+    fields = (x.struct, x.power, x.factors)
+    for name in ("struct", "power", "factors"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert not hasattr(x, "__dict__")
+    assert (x.struct, x.power, x.factors) == fields and x.clen == 2
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert y == x and hash(y) == hash(x)
+        assert (y.power, y.factors) == (x.power, x.factors)
+    # a deep copy or a pickle names the structure, so it comes back interned
+    for y in copies[1:]:
+        assert y.struct is braid_structure(4)
+
+
+@hs.composite
+def divides_cases(draw):
+    """
+    A fresh structure of B_2..B_12 and the ingredients of divisibility
+    pairs: D powers -2..2; simples drawn from the identity, the atoms, the
+    simples one atom short of D and random simples; and words of 2..5
+    random simples, whose normal forms mostly have canonical length >= 2.
+    """
+    n = draw(hs.sampled_from([2, 2, *range(3, 13)]))
+    st = BraidStructure(n)  # not the interned structure: the meet memo starts empty
+    # a seeded generator, since random_simple redraws until it leaves the
+    # identity, which a shrunk hypothesis random never does
+    rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
+    near_delta = [st.right_complement(a) for a in st.atoms] + [st.tau(st.right_complement(a)) for a in st.atoms]
+    specials = [st.identity, *st.atoms, *near_delta]
+
+    def simple():
+        return random_simple(rng, n) if draw(hs.booleans()) else draw(hs.sampled_from(specials))
+
+    def power():
+        return draw(hs.integers(-2, 2))
+
+    def word():
+        return [random_simple(rng, n) for _ in range(draw(hs.integers(2, 5)))]
+
+    return st, [power() for _ in range(3)], [simple() for _ in range(4)], word(), word()
+
+
+def _divides_pairs(st, powers, simples, word1, word2):
+    """
+    Pairs (a, b) for the divisibility test, among them many with a dividing
+    b: b = a s, a prefix of b, and b = a, each with canonical length <= 1 on
+    both sides where they can; and pairs with canonical length >= 2 on
+    either side.
+    """
+    p, r, k = powers
+    s, t, c, d = simples
+    a = simple_element(st, s, p)
+    b = simple_element(st, t, r)
+    # s times a simple below rc(s), and a prefix of t: still simples
+    sc = st.mul(s, st.meet(st.right_complement(s), c))
+    prefix = st.meet(t, d)
+    long1 = normalize(st, k, word1)
+    long2 = normalize(st, r, word2)
+    return [
+        (a, b),
+        (a, simple_element(st, t, p)),
+        (b, simple_element(st, s, r)),
+        (a, simple_element(st, sc, p)),
+        (simple_element(st, prefix, r), b),
+        (a, a),
+        (delta_power(st, p), simple_element(st, t, p)),
+        (delta_power(st, p), delta_power(st, r)),
+        (delta_power(st, p), delta_power(st, p)),
+        (a, delta_power(st, p)),
+        (a, a * simple_element(st, c)),
+        (a, a * simple_element(st, c, 1)),
+        (long1, long2),
+        (a, long2),
+        (long1, b),
+        (long1, long1 * simple_element(st, c)),
+        (long1.meet_delta(long1.inf + 1), long1),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(divides_cases())
+@example((BraidStructure(2), [0, 0, 0], [(0, 1), (1, 0), (1, 0), (0, 1)], [(1, 0)] * 2, [(1, 0), (0, 1)]))
+@example((BraidStructure(4), [1, 1, -1], [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 2, 1, 0)],
+          [(1, 0, 2, 3), (0, 2, 1, 3)], [(2, 1, 0, 3), (0, 1, 3, 2), (1, 0, 2, 3)]))
+def test_divides_matches_the_group_oracle(case):
+    # the canonical-length <= 1 rule against "a^{-1} b is positive" in full
+    # group arithmetic, which is also the rule for every longer pair
+    st, *ingredients = case
+    for a, b in _divides_pairs(st, *ingredients):
+        assert a.divides(b) == oracles.divides(a, b), (a.power, a.factors, b.power, b.factors)
+
+
+def test_divides_answers_both_ways_on_short_pairs(rng):
+    # seeded pairs against the oracle, with both answers occurring on short
+    # pairs of equal and of different powers
+    answers = set()
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        st = braid_structure(n)
+        p = rng.randint(-2, 2)
+        powers = [p, p + rng.choice([-1, 0, 0, 1]), rng.randint(-2, 2)]
+        simples = [random_simple(rng, n) for _ in range(4)]
+        for a, b in _divides_pairs(st, powers, simples, [], []):
+            assert a.divides(b) == oracles.divides(a, b)
+            if a.clen <= 1 and b.clen <= 1:
+                answers.add((a.power == b.power, a.divides(b)))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_divides_rejects_mixed_structures():
+    st3, st4 = braid_structure(3), braid_structure(4)
+    short3, short4 = simple_element(st3, st3.atoms[0]), simple_element(st4, st4.atoms[0])
+    long3 = parse_word("1 2 2 1 1", 3)
+    long4 = parse_word("1 2 3 3 2 1 1", 4)
+    for a, b in [(short3, short4), (short4, short3), (long3, long4), (short3, long4),
+                 (identity_element(st3), identity_element(st4)), (delta_power(st3, 1), delta_power(st4, 0))]:
+        with pytest.raises(ValueError):
+            a.divides(b)
+    # equal structures that are different objects are the same structure
+    assert simple_element(BraidStructure(3), st3.atoms[0]).divides(parse_word("1 2", 3))

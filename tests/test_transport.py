@@ -1,12 +1,13 @@
 """Pushforward/pullback identities, the factor-chain calculus, minimal conjugators."""
 
 import itertools
+import sys
 
 import pytest
 
 from garside import cycling, transport
 from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
-from garside.core import delta_power, identity_element, normalize, simple_element
+from garside.core import CanonicalElement, delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
     cstar_representative,
@@ -442,6 +443,29 @@ def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
         x = ot.x
         # only interior orders come from a closure, boundary orders never do
         assert reused == (x.inf < ot.q < x.sup), (x, ot.q)
+
+
+def test_transport_sweep_divides_short_elements(rng, monkeypatch):
+    # the domination test of the pushforward sweep runs on canonical
+    # lengths <= 1, where CanonicalElement.divides needs at most one meet
+    # and no product; a longer argument would silently take the slow path
+    sweep = minimal_recurrent_conjugator.__code__
+    original = CanonicalElement.divides
+    lengths = []
+
+    def spy(a, b):
+        if sys._getframe(1).f_code is sweep:
+            lengths.append((a.clen, b.clen))
+        return original(a, b)
+
+    monkeypatch.setattr(CanonicalElement, "divides", spy)
+    for _ in range(12):
+        n = rng.choice([4, 5, 6, 7])
+        x = random_element(rng, n, max_len=3, min_len=1)
+        for ss in (ultra_summit_set(x), c_star(x)):
+            assert ss.verify_witnesses()
+    assert len(lengths) >= 100
+    assert all(la <= 1 and lb <= 1 for la, lb in lengths), sorted(set(lengths))
 
 
 def test_orbit_walk_from_a_start_that_is_not_recurrent():
