@@ -39,7 +39,7 @@ from __future__ import annotations
 import operator
 import random
 
-from .core import CanonicalElement, GarsideStructure, normalize
+from .core import CanonicalElement, GarsideStructure, delta_power, identity_element, simple_element
 
 # A simple element of B_n: the image table of a permutation of {0..n-1}.
 PermSimple = tuple[int, ...]
@@ -154,9 +154,6 @@ class BraidStructure(GarsideStructure):
 
     def right_complement(self, a: PermSimple) -> PermSimple:
         return self._complements[a]
-
-    def tau(self, a: PermSimple) -> PermSimple:
-        return self._taus[a]
 
     def tau_pow(self, a: PermSimple, k: int) -> PermSimple:
         """tau^k(a); tau is an involution here, so at most one table lookup."""
@@ -355,24 +352,17 @@ class WordError(ValueError):
 
 def parse_word(text: str, n: int) -> CanonicalElement:
     """
-    Normal form of a whitespace-separated word.
+    Normal form of a whitespace-separated word: the product of its letters,
+    multiplied in from left to right.
 
     Tokens are nonzero integers k for the Artin generator s_k (negative for
-    its inverse) or "D"/"D^-1" for the Garside element.  An inverse letter
-    a^{-1} is rewritten as D^-1 * (right complement of a, shifted by tau)
-    before normalizing.
+    its inverse) or "D"/"D^-1" for the Garside element.
     """
     s = braid_structure(n)
-    letters: list[PermSimple] = []
-    shifts: list[int] = []
+    x = identity_element(s)
     for tok in text.split():
-        if tok == "D":
-            letters.append(s.delta)
-            shifts.append(0)
-            continue
-        if tok == "D^-1":
-            letters.append(s.identity)
-            shifts.append(-1)
+        if tok in ("D", "D^-1"):
+            x = x * delta_power(s, 1 if tok == "D" else -1)
             continue
         try:
             k = int(tok)
@@ -380,20 +370,9 @@ def parse_word(text: str, n: int) -> CanonicalElement:
             raise WordError(f"malformed token {tok!r}") from None
         if k == 0 or abs(k) >= n:
             raise WordError(f"generator index {k} out of range for {n} strands")
-        atom = s.atoms[abs(k) - 1]
-        if k > 0:
-            letters.append(atom)
-            shifts.append(0)
-        else:
-            # a^{-1} = D^-1 * (D a^{-1}) and D a^{-1} = tau^{-1}(a^{-1} D)
-            letters.append(s.tau_pow(s.right_complement(atom), -1))
-            shifts.append(-1)
-    power = 0
-    word: list[PermSimple] = [s.identity] * len(letters)
-    for i in range(len(letters) - 1, -1, -1):
-        word[i] = s.tau_pow(letters[i], power)
-        power += shifts[i]
-    return normalize(s, power, word)
+        letter = simple_element(s, s.atoms[abs(k) - 1])
+        x = x * (letter if k > 0 else letter.inv())
+    return x
 
 
 def word_str(x: CanonicalElement) -> str:

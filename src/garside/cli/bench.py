@@ -26,12 +26,6 @@ GENERATORS: dict[int, Callable] = {1: gen_test1, 2: gen_test2, 3: gen_test3}
 DEFAULT_SAMPLES = 200
 DEFAULT_MAX_SIZE = 10 ** 5
 
-CSV_COLUMNS = (
-    "test", "n", "l", "samples", "kind",
-    "mean_size", "max_size", "mean_ms", "max_ms", "timeouts",
-)
-
-
 @dataclasses.dataclass(frozen=True)
 class BenchRow:
     test: int
@@ -44,13 +38,6 @@ class BenchRow:
     mean_ms: float
     max_ms: float
     timeouts: int
-
-    def as_csv_row(self) -> list[str]:
-        return [
-            str(self.test), str(self.n), str(self.l), str(self.samples), self.kind,
-            f"{self.mean_size:.2f}", str(self.max_size),
-            f"{self.mean_ms:.2f}", f"{self.max_ms:.2f}", str(self.timeouts),
-        ]
 
 
 def run_bench(
@@ -65,10 +52,13 @@ def run_bench(
 ) -> list[BenchRow]:
     """
     Benchmark one (test, n, l) cell: per-kind mean/max summit-set sizes and
-    times over `samples` random braids.
+    times over `samples` random braids.  Raises ValueError for an unknown
+    test or a kind listed twice.
     """
     if test not in GENERATORS:
         raise ValueError("test must be 1, 2 or 3")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"summit kinds must be distinct, got {','.join(kinds)}")
     gen = GENERATORS[test]
     rng = random.Random(seed)
     sizes: dict[str, list[int]] = {k: [] for k in kinds}
@@ -106,7 +96,7 @@ def rows_to_csv(rows: Iterable[BenchRow], header_lines: Sequence[str] = ()) -> s
     for line in header_lines:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow([f.name for f in dataclasses.fields(BenchRow)])
     for row in rows:
-        writer.writerow(row.as_csv_row())
+        writer.writerow([f"{v:.2f}" if isinstance(v, float) else v for v in dataclasses.astuple(row)])
     return buf.getvalue()

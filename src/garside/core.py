@@ -79,8 +79,8 @@ class GarsideStructure(abc.ABC):
         """Left least common multiple of two simples (again a simple)."""
 
     @abc.abstractmethod
-    def tau(self, a: Simple) -> Simple:
-        """Conjugation by D: D^{-1} a D."""
+    def tau_pow(self, a: Simple, k: int) -> Simple:
+        """tau^k(a), where tau is conjugation by D: tau(a) = D^{-1} a D."""
 
     @abc.abstractmethod
     def norm(self, a: Simple) -> int:
@@ -89,11 +89,6 @@ class GarsideStructure(abc.ABC):
     @abc.abstractmethod
     def is_simple(self, a: object) -> bool:
         """Whether a is a handle of a simple element of this structure."""
-
-    def tau_pow(self, a: Simple, k: int) -> Simple:
-        for _ in range(k % self.order_of_tau):
-            a = self.tau(a)
-        return a
 
     def atom_divides(self, k: int, a: Simple) -> bool:
         """Whether the k-th atom left-divides the simple a."""
@@ -211,10 +206,6 @@ class CanonicalElement:
     def clen(self) -> int:
         """Canonical length: the number of normal-form factors."""
         return len(self.factors)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.power == 0 and not self.factors
 
     @property
     def exponent_sum(self) -> int:

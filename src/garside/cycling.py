@@ -132,9 +132,11 @@ def in_recurrence_set(x: CanonicalElement, q: int, *, p: int = 1) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class WitnessedElement:
-    """An element together with a conjugator from a fixed base element."""
+    """
+    An element with a witness: x.conj(witness) == element, where x is the
+    element passed to the function that returned it.
+    """
 
-    base: CanonicalElement
     element: CanonicalElement
     witness: CanonicalElement
 
@@ -171,7 +173,7 @@ def cstar_representative(x: CanonicalElement) -> WitnessedElement:
     the summit inf and sup of the conjugacy class.
     """
     cur, wit, _ = _order_sweep(x, identity_element(x.struct), 1)
-    return WitnessedElement(x, cur, wit)
+    return WitnessedElement(cur, wit)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -310,5 +312,5 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
             cur, wit, moved = _order_sweep(cur, wit, p)
             changed = changed or moved
         if not changed:
-            return WitnessedElement(x, cur, wit)
+            return WitnessedElement(cur, wit)
     raise RuntimeError("double-order sweep failed to stabilize")

@@ -105,11 +105,4 @@ def c_star_star_rigid(x: CanonicalElement, **limits) -> SummitSet:
     qbar = x.inf + x.sup
     members = tuple(y for y in ss.members if in_recurrence_set(y, qbar, p=2))
     witnesses = {y: ss.witnesses[y] for y in members}
-    return SummitSet(
-        kind="star_star",
-        base=x,
-        members=members,
-        witnesses=witnesses,
-        infs=ss.infs,
-        sups=ss.sups,
-    )
+    return dataclasses.replace(ss, kind="star_star", members=members, witnesses=witnesses)

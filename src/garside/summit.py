@@ -56,13 +56,18 @@ class BudgetExceeded(RuntimeError):
         self.elapsed_ms = elapsed_ms
         self.size = size
 
+    def __reduce__(self):
+        # the default reduce calls __init__ with the message alone
+        return BudgetExceeded, (self.kind, self.elapsed_ms, self.size)
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SummitSet:
     """
     A finite conjugacy invariant: all members, each with a conjugator from
-    the base element, all sharing the summit inf and sup.  The star kind
-    also records the partition into trajectories.
+    the base element, all sharing the summit inf and sup.  trajectories is
+    the paper's partition of C* into trajectories, in the order the closure
+    built them; it is kept for the star kind only and is None otherwise.
     """
 
     kind: str

@@ -115,6 +115,8 @@ class TransportContext:
     inf x^u >= inf x - 1 and sup x^u <= sup x + 1.  From
     (x /\\ D^q) phi(u) = u (x^u /\\ D^q): for q < inf x both meets are D^q
     and phi(u) = tau^q(u); for q > sup x they are x and x^u, and phi(u) = u.
+    Both maps raise ValueError, at every order, on an argument of canonical
+    length above 1 or of another structure.
     """
 
     def __init__(self, x: CanonicalElement, q: int):
@@ -123,6 +125,8 @@ class TransportContext:
         self.struct = x.struct
 
     def _split(self, u: CanonicalElement) -> tuple[int, Simple]:
+        if u.struct is not self.struct and u.struct != self.struct:
+            raise ValueError("elements belong to different structures")
         if u.clen > 1:
             raise ValueError("transport arguments must have canonical length <= 1")
         return u.power, (u.factors[0] if u.factors else self.struct.identity)
@@ -139,11 +143,11 @@ class TransportContext:
 
     def pull(self, u: CanonicalElement) -> CanonicalElement:
         s, x, q = self.struct, self.x, self.q
+        m, su = self._split(u)
         if not x.inf <= q <= x.sup:
             raise ValueError(
                 "pullback is only defined for orders between inf x and sup x"
             )
-        m, su = self._split(u)
         pi = _pi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
         return simple_element(s, pi, m)
 

@@ -16,7 +16,6 @@ import itertools
 from garside.braid import BraidStructure
 from garside.core import (
     CanonicalElement,
-    GarsideStructure,
     delta_power,
     identity_element,
     normalize,
@@ -242,10 +241,22 @@ def normalize_by_weighting(struct, power: int, word) -> CanonicalElement:
     return CanonicalElement(struct, power + dp, out)
 
 
+def tau_pow(a: tuple, k: int) -> tuple:
+    """
+    tau^k of a simple of B_n by its definition on permutation tables,
+    tau(a)[i] = n-1-a[n-1-i], with no memo: the reference for the
+    structure's tau table.  tau is an involution, so k counts mod 2.
+    """
+    m = len(a) - 1
+    for _ in range(k % 2):
+        a = tuple(m - a[m - i] for i in range(m + 1))
+    return a
+
+
 def mul_by_weighting(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
     """x * y as D^{p+r} tau^r(x_1...x_k) y_1...y_l, weighted at the junction."""
     s = x.struct
-    left = [GarsideStructure.tau_pow(s, f, y.power) for f in x.factors]
+    left = [tau_pow(f, y.power) for f in x.factors]
     dp, out = weight_factors(s, left + list(y.factors), [len(left) - 1])
     return CanonicalElement(s, x.power + y.power + dp, out)
 

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from garside.braid import parse_word
+from garside.braid import braid_structure, parse_word
+from garside.cli import bench
 from garside.cli.main import main
+from garside.core import identity_element
 from garside.rigid import is_rigid
 
 
@@ -125,7 +127,7 @@ def test_rigid_commands():
     out = json.loads(r.stdout)
     assert out["rigid"] is True and out["power"] == 2
     witness = parse_word(out["witness"], 7)
-    assert not witness.is_identity
+    assert witness != identity_element(braid_structure(7))
     rigid_conjugate = parse_word(out["rigid_conjugate"]["word"], 7)
     assert (parse_word(word, 7) ** out["power"]).conj(witness) == rigid_conjugate
     assert is_rigid(rigid_conjugate)
@@ -247,6 +249,18 @@ def test_bench_budget_counts_timeouts():
     for row in (dict(zip(header, l.split(","))) for l in lines[1:]):
         assert row["timeouts"] == "2"
         assert row["mean_size"] == "0.00"
+
+
+def test_bench_rejects_a_repeated_kind(monkeypatch):
+    # both passes of a repeated kind would add to the same aggregates
+    r = run_cli("bench", "--test", "1", "--n", "5", "--l", "2", "--samples", "3",
+                "--seed", "1", "--max-size", "3", "--kinds", "ultra,ultra")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "error" in r.stderr
+    # and before drawing any sample
+    monkeypatch.setitem(bench.GENERATORS, 1, lambda *args: pytest.fail("a sample was drawn"))
+    with pytest.raises(ValueError):
+        bench.run_bench(1, 5, 2, samples=3, kinds=("ultra", "star", "ultra"))
 
 
 def test_main_callable_directly():

@@ -44,7 +44,7 @@ def test_normalize_rejects_what_is_not_a_simple():
 
 
 def test_normalize_empty():
-    assert normalize(s3(), 0, []).is_identity
+    assert normalize(s3(), 0, []) == identity_element(s3())
 
 
 def test_normalize_weighted_pair():
@@ -78,14 +78,14 @@ def test_multiply_examples():
     st = s3()
     s1, s2 = st.atoms
     e1 = simple_element(st, s1)
-    assert (e1 * e1.inv()).is_identity
+    assert e1 * e1.inv() == identity_element(st)
     assert delta_power(st, 1) * delta_power(st, 1) == delta_power(st, 2)
     assert simple_element(st, st.mul(s2, s1)) * e1 == parse_word("2 1 1", 3)
 
 
 def test_invert_examples():
     st = s3()
-    assert identity_element(st).inv().is_identity
+    assert identity_element(st).inv() == identity_element(st)
     assert delta_power(st, 1).inv() == delta_power(st, -1)
     inv = simple_element(st, st.atoms[0]).inv()
     assert inv.power == -1
@@ -95,8 +95,8 @@ def test_invert_examples():
 def test_invert_roundtrip(rng):
     for _ in range(150):
         a = random_element(rng, rng.choice([3, 4, 5]))
-        assert (a * a.inv()).is_identity
-        assert (a.inv() * a).is_identity
+        assert a * a.inv() == identity_element(a.struct)
+        assert a.inv() * a == identity_element(a.struct)
         assert a.inv().inv() == a
 
 
@@ -123,7 +123,7 @@ def test_inverse_needs_no_normalization(x):
     y = x.inv()
     assert y == normalize(s, q, word)
     assert_normal_form(y)
-    assert (x * y).is_identity
+    assert x * y == identity_element(s)
 
 
 def test_conjugate_examples():
@@ -138,7 +138,7 @@ def test_meet_delta_power_prefix_law(rng):
     st = s3()
     x = parse_word("2 1 1", 3)
     assert x.meet_delta(1) == parse_word("2 1", 3)
-    assert x.meet_delta(0).is_identity
+    assert x.meet_delta(0) == identity_element(st)
     assert x.meet_delta(5) == x
     for _ in range(100):
         a = random_element(rng, rng.choice([3, 4]))
@@ -250,7 +250,7 @@ def test_products_and_normalize_match_the_weighting_oracle(case):
         ab = a * b
         assert_normal_form(ab)
         assert ab == mul_by_weighting(a, b)
-    assert (x * x.inv()).is_identity and (y.inv() * y).is_identity
+    assert x * x.inv() == identity_element(st) and y.inv() * y == identity_element(st)
 
 
 def test_element_is_an_immutable_value():
@@ -289,7 +289,7 @@ def divides_cases(draw):
     # a seeded generator, since random_simple redraws until it leaves the
     # identity, which a shrunk hypothesis random never does
     rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
-    near_delta = [st.right_complement(a) for a in st.atoms] + [st.tau(st.right_complement(a)) for a in st.atoms]
+    near_delta = [st.right_complement(a) for a in st.atoms] + [st.tau_pow(st.right_complement(a), 1) for a in st.atoms]
     specials = [st.identity, *st.atoms, *near_delta]
 
     def simple():

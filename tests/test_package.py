@@ -99,6 +99,46 @@ def test_import_prints_nothing_with_warnings_as_errors():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
+def _public_definitions(tree):
+    """(name, node) of each public module-level function and class, and of
+    each public method and property of a public class; dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds) and not member.name.startswith("_"):
+                    yield member.name, member
+
+
+def test_every_public_name_has_a_reader_or_is_documented():
+    # no public API that exists only for tests: each public name is read
+    # by the library or the benchmark, outside its own definition, or is
+    # documented in the README as a name users may call
+    root = Path(__file__).parent.parent
+    readers = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+               for path in SOURCES + sorted((root / "benchmarks").glob("*.py"))}
+    references = [
+        (path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for path, tree in readers.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unread = []
+    for path in SOURCES:
+        for name, node in _public_definitions(readers[path]):
+            if re.search(rf"\b{name}\b", readme) or any(
+                ref == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, ref in references
+            ):
+                continue
+            unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, unread
+
+
 def _readme_and_quick_start():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)

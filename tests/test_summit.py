@@ -1,6 +1,8 @@
 """Summit sets of all three kinds, conjugacy decisions, budgets."""
 
+import copy
 import hashlib
+import pickle
 import random
 import sys
 import time
@@ -265,6 +267,16 @@ def test_budget_and_size_guards():
     except BudgetExceeded as e:
         assert e.kind == "super"
         assert e.size > 0
+
+
+def test_budget_exceeded_pickles_and_copies():
+    # so a budget abort can cross a process boundary, as from a pool worker
+    exc = BudgetExceeded("ultra", 12.5, 7)
+    copies = [pickle.loads(pickle.dumps(exc, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(exc), copy.deepcopy(exc)]
+    for c in copies:
+        assert type(c) is BudgetExceeded
+        assert (c.kind, c.elapsed_ms, c.size, str(c)) == ("ultra", 12.5, 7, str(exc))
 
 
 def test_budget_clock_covers_the_representative(monkeypatch):

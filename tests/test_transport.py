@@ -190,6 +190,21 @@ def test_transport_argument_validation():
     assert TransportContext(x, 1).push(ident) == ident
 
 
+def test_transport_rejects_other_structures():
+    # as products and divides do, at every order: below inf x and above
+    # sup x, where push has closed forms, and inside, where the factor
+    # chains would index the tables of another strand count
+    x = parse_word("1 2 3 1 2", 4)
+    assert (x.inf, x.sup) == (0, 1)
+    for n in (3, 5):
+        for u in (parse_word("1", n), delta_power(braid_structure(n), 1)):
+            for q in range(x.inf - 1, x.sup + 2):
+                ctx = TransportContext(x, q)
+                for fn in (ctx.push, ctx.pull):
+                    with pytest.raises(ValueError, match="different structures"):
+                        fn(u)
+
+
 def test_orbit_transport_requires_recurrence():
     x = parse_word("2 1 1", 3)  # not order-1 recurrent
     with pytest.raises(NotRecurrentError):
@@ -299,7 +314,7 @@ def test_mu_trivial_cases(rng):
         x = cstar_representative(random_element(rng, rng.choice([3, 4]))).element
         st = x.struct
         transports = star_transports(x)
-        assert minimal_recurrent_conjugator(transports, identity_element(st)).is_identity
+        assert minimal_recurrent_conjugator(transports, identity_element(st)) == identity_element(st)
         # if x^u is already everywhere-recurrent with summit bounds, the
         # minimal conjugator above u is u
         u = delta_power(st, rng.randint(-1, 1))
