@@ -285,8 +285,9 @@ class CanonicalElement:
         Whether self left-divides other in the group's positive cone:
         self^{-1} other is positive, that is, its inf is at least 0.
 
-        When both sides have canonical length at most 1, as every call of
-        the transport sweep does, write self = D^p s and other = D^r t with
+        When both sides have canonical length at most 1, as in the
+        transport sweep's domination test on (power, simple) pairs, which
+        rests on this case, write self = D^p s and other = D^r t with
         s and t proper simples or absent (absent standing for the identity)
         and answer from the normal forms:
         - r > p: s divides D, which divides D^{r-p} t, so self divides

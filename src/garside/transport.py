@@ -22,7 +22,9 @@ the first factor; the pullback runs v_step and w_step.  The w-step is the
 residual x\\w = x^{-1} (x \\/ w), and the v-step is a slide followed by
 one.  A leading D^m peels off through tau:
 phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).  Outside [inf x, sup x] the
-pushforward has a closed form (see TransportContext).
+pushforward has a closed form (see TransportContext).  So the orbit
+transports and the minimal-conjugator sweep iterate (power, simple) pairs
+rather than elements, and convert only at the sweep's two ends.
 
 Composing the single steps around a closed orbit of the order-q cycling
 gives the orbit transports (pushforward forwards, pullback in reversed
@@ -34,8 +36,9 @@ The summit closures seed from key elements of trajectories, and the
 closure of a trajectory has already taken every interior-order cycling
 step of its members.  So the seed step builds a key element's orbit
 transports at the interior orders from the closed orbits that closure
-walked (cycling._closure_trajectory), and cycles here only at the boundary
-orders inf x and sup x, where the orbit is a tau-orbit or a fixed point.
+walked (cycling._closure_trajectory), and takes no cycling step at the
+boundary orders, where the orbit has a closed form: the tau^q-orbit of x
+for q <= inf x and the fixed point x for q >= sup x.
 """
 
 from __future__ import annotations
@@ -104,6 +107,18 @@ def _pi_simple(
     return s.join(v, w)
 
 
+Pair = tuple[int, Simple]
+
+
+def _pair(struct: GarsideStructure, u: CanonicalElement) -> Pair:
+    """u as a (power, simple) pair, checked to be of struct and of canonical length <= 1."""
+    if u.struct is not struct and u.struct != struct:
+        raise ValueError("elements belong to different structures")
+    if u.clen > 1:
+        raise ValueError("transport arguments must have canonical length <= 1")
+    return u.power, (u.factors[0] if u.factors else struct.identity)
+
+
 class TransportContext:
     """
     A cycling step x -> cyc_q(x) prepared for transporting conjugators of
@@ -117,6 +132,10 @@ class TransportContext:
     and phi(u) = tau^q(u); for q > sup x they are x and x^u, and phi(u) = u.
     Both maps raise ValueError, at every order, on an argument of canonical
     length above 1 or of another structure.
+
+    The arithmetic runs on (power, simple) pairs, the values the orbit
+    transports iterate: (m, s) stands for D^m s, and s is never D, so equal
+    pairs are equal elements.  push and pull convert around the pair steps.
     """
 
     def __init__(self, x: CanonicalElement, q: int):
@@ -124,41 +143,58 @@ class TransportContext:
         self.q = q
         self.struct = x.struct
 
-    def _split(self, u: CanonicalElement) -> tuple[int, Simple]:
-        if u.struct is not self.struct and u.struct != self.struct:
-            raise ValueError("elements belong to different structures")
-        if u.clen > 1:
-            raise ValueError("transport arguments must have canonical length <= 1")
-        return u.power, (u.factors[0] if u.factors else self.struct.identity)
-
     def push(self, u: CanonicalElement) -> CanonicalElement:
-        s, x, q = self.struct, self.x, self.q
-        m, su = self._split(u)
-        if q < x.inf:
-            return u.tau_pow(q)
-        if q > x.sup:
-            return u
-        phi = _phi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
-        return simple_element(s, phi, m)
+        m, t = self._push(_pair(self.struct, u))
+        return simple_element(self.struct, t, m)
 
     def pull(self, u: CanonicalElement) -> CanonicalElement:
+        m, t = self._pull(_pair(self.struct, u))
+        return simple_element(self.struct, t, m)
+
+    def _push(self, u: Pair) -> Pair:
         s, x, q = self.struct, self.x, self.q
-        m, su = self._split(u)
-        if not x.inf <= q <= x.sup:
+        m, t = u
+        k = q - x.power
+        if k < 0:
+            return m, s.tau_pow(t, q)
+        if k > len(x.factors):
+            return u
+        return self._chain(_phi_simple, m, k, t)
+
+    def _pull(self, u: Pair) -> Pair:
+        x, q = self.x, self.q
+        m, t = u
+        k = q - x.power
+        if not 0 <= k <= len(x.factors):
             raise ValueError(
                 "pullback is only defined for orders between inf x and sup x"
             )
-        pi = _pi_simple(s, x.tau_pow(m).factors, x.power, q - x.power, su)
-        return simple_element(s, pi, m)
+        return self._chain(_pi_simple, m, k, t)
+
+    def _chain(self, chain: Callable[..., Simple], m: int, k: int, t: Simple) -> Pair:
+        """
+        D^m times the chain's value at the simple t, which runs on the
+        factors of tau^m(x), since phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s)
+        and likewise for pi; a D value moves into the power.
+        """
+        s, x = self.struct, self.x
+        factors: Sequence[Simple] = x.factors
+        if m % s.order_of_tau:
+            factors = [s.tau_pow(f, m) for f in factors]
+        r = chain(s, factors, x.power, k, t)
+        return (m + 1, s.identity) if r == s.delta else (m, r)
 
 
 class OrbitTransport:
     """
-    Transport around the full closed orbit of x under the order-q cycling.
-    Raises NotRecurrentError unless x lies on its closed orbit.  A caller
-    that already holds that orbit (its elements from x onwards, as the
-    trajectory closure records them) passes it as orbit, and then no
-    cycling step is taken here.
+    Transport of (power, simple) pairs around the full closed orbit of x
+    under the order-q cycling.  Raises NotRecurrentError unless x lies on
+    its closed orbit.  A caller that already holds that orbit (its elements
+    from x onwards, as the trajectory closure records them) passes it as
+    orbit.  Otherwise the boundary orders take their closed forms, the
+    tau^q-orbit of x for q <= inf x and the fixed point x for q >= sup x
+    (see cycling.cyc_q), and only an interior order walks the orbit with
+    recurrent_representative.
     """
 
     def __init__(
@@ -168,28 +204,48 @@ class OrbitTransport:
         orbit: Sequence[CanonicalElement] | None = None,
     ):
         if orbit is None:
-            rec = recurrent_representative(x, q)
-            if rec.entry_index:
-                raise NotRecurrentError(f"element is not order-{q} recurrent")
-            orbit = rec.elements
+            if q <= x.inf:
+                orbit = [x]
+                y = x.tau_pow(q)
+                while y != x:
+                    orbit.append(y)
+                    y = y.tau_pow(q)
+            elif q >= x.sup:
+                orbit = (x,)
+            else:
+                rec = recurrent_representative(x, q)
+                if rec.entry_index:
+                    raise NotRecurrentError(f"element is not order-{q} recurrent")
+                orbit = rec.elements
         elif orbit[0] != x:
             raise ValueError("an orbit must start at its element")
         self.x = x
         self.q = q
         self.contexts = tuple(TransportContext(y, q) for y in orbit)
 
-    def push_around(self, u: CanonicalElement) -> CanonicalElement:
+    def push_around(self, u: Pair) -> Pair:
         for ctx in self.contexts:
-            u = ctx.push(u)
+            u = ctx._push(u)
         return u
 
-    def pull_around(self, u: CanonicalElement) -> CanonicalElement:
+    def pull_around(self, u: Pair) -> Pair:
         for ctx in reversed(self.contexts):
-            u = ctx.pull(u)
+            u = ctx._pull(u)
         return u
 
 
-Probe = Callable[[CanonicalElement], None]
+Probe = Callable[[Pair], None]
+
+
+def _dominates(s: GarsideStructure, entering: Pair, cur: Pair) -> bool:
+    """
+    Whether D^p s divides D^r t for pairs (p, s) and (r, t): r > p, or
+    r = p and s divides t.  CanonicalElement.divides proves this for
+    canonical length <= 1, with the identity standing for an absent factor.
+    """
+    p, a = entering
+    r, b = cur
+    return r > p or (r == p and s.meet(a, b) == a)
 
 
 def minimal_recurrent_conjugator(
@@ -200,20 +256,24 @@ def minimal_recurrent_conjugator(
     """
     The minimal v with u dividing v such that x^v is recurrent at every
     order q of the transports, which are the orbit transports of one x in
-    ascending order (u must have canonical length <= 1).  Building them is
-    the costly part, so a caller minimising several u around the same x
-    builds them once and passes the same list each time.
+    ascending order.  u must belong to the structure of x and have
+    canonical length <= 1, or ValueError is raised.  Building the
+    transports is the costly part, so a caller minimising several u around
+    the same x builds them once and passes the same list each time.
 
     Two sweeps: ascending through the orders, iterate the orbit pullback to
     its first revisited value; then descending, iterate the orbit
     pushforward until it both revisits a value and dominates the ascending
     stage's input.  Once the pushforward iterates come back to their first
     revisited value they have run through their whole period, so a sweep
-    that has not found a dominating iterate by then never will.  The
-    optional probe sees every intermediate iterate.
+    that has not found a dominating iterate by then never will.  Both
+    sweeps iterate (power, simple) pairs, converting from u and to v only
+    at the ends; the optional probe sees every intermediate iterate as a
+    pair (m, s) standing for D^m s, s never D.
     """
-    stage_inputs: list[CanonicalElement] = []
-    cur = u
+    struct = transports[0].x.struct if transports else u.struct
+    stage_inputs: list[Pair] = []
+    cur = _pair(struct, u)
     for ot in transports:
         stage_inputs.append(cur)
         seen = {cur}
@@ -238,9 +298,9 @@ def minimal_recurrent_conjugator(
                 first_revisit = cur
             elif cur == first_revisit:
                 raise RuntimeError("pushforward sweep failed to dominate its input")
-            if entering.divides(cur):
+            if _dominates(struct, entering, cur):
                 break
-    return cur
+    return simple_element(struct, cur[1], cur[0])
 
 
 class _Excluded(Exception):
@@ -263,8 +323,8 @@ def _seed_trajectories(
 
     orbits holds closed orbits of x by order, as the closure of the
     trajectory of x returns them for its interior orders; an order it
-    lacks (a boundary order, where the orbit is a tau-orbit or a fixed
-    point) is walked here by recurrent_representative.
+    lacks is a boundary order, where OrbitTransport builds the orbit in
+    closed form.
 
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
@@ -279,14 +339,14 @@ def _seed_trajectories(
     for idx, atom in enumerate(atoms):
         others = [j for j in sorted(live) if j != idx]
 
-        def probe(w: CanonicalElement) -> None:
-            if w.power >= 1:
+        def probe(w: Pair) -> None:
+            power, table = w
+            if power >= 1:
                 if others:
                     raise _Excluded
                 return
-            if w.power < 0 or not w.factors:
+            if power < 0 or table == s.identity:
                 return
-            table = w.factors[0]
             for j in others:
                 if s.atom_divides(j, table):
                     raise _Excluded

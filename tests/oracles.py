@@ -381,3 +381,97 @@ def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str
     else:
         raise ValueError(kind)
     return frozenset(keep)
+
+
+def element_orbit_transports(x: CanonicalElement, kind: str) -> list[list]:
+    """
+    For each recurrence order of the kind, ascending, the transport
+    contexts around the closed orbit of x, walked by recurrent_representative
+    at every order, boundary orders included.
+    """
+    from garside.cycling import recurrence_orders, recurrent_representative
+    from garside.transport import TransportContext
+
+    out = []
+    for q in recurrence_orders(kind, x):
+        rec = recurrent_representative(x, q)
+        assert rec.entry_index == 0, (x, q)
+        out.append([TransportContext(y, q) for y in rec.elements])
+    return out
+
+
+def minimal_conjugator_by_elements(orbits: list[list], u: CanonicalElement, probe=None):
+    """
+    The two-sweep minimal recurrent conjugator on CanonicalElement values:
+    the element-level push and pull of each context around each orbit of
+    element_orbit_transports, and domination by the general divides above.
+    The reference for the library's sweep on (power, simple) pairs; the
+    probe sees every iterate as an element.
+    """
+    stage_inputs = []
+    cur = u
+    for contexts in orbits:
+        stage_inputs.append(cur)
+        seen = {cur}
+        while True:
+            for ctx in reversed(contexts):
+                cur = ctx.pull(cur)
+            if probe is not None:
+                probe(cur)
+            if cur in seen:
+                break
+            seen.add(cur)
+    for contexts, entering in zip(reversed(orbits), reversed(stage_inputs)):
+        seen = {cur}
+        first_revisit = None
+        while True:
+            for ctx in contexts:
+                cur = ctx.push(cur)
+            if probe is not None:
+                probe(cur)
+            if first_revisit is None:
+                if cur not in seen:
+                    seen.add(cur)
+                    continue
+                first_revisit = cur
+            elif cur == first_revisit:
+                raise RuntimeError("pushforward sweep failed to dominate its input")
+            if divides(entering, cur):
+                break
+    return cur
+
+
+class _Excluded(Exception):
+    pass
+
+
+def seed_trajectories_by_elements(x: CanonicalElement, kind: str) -> list:
+    """
+    The seed step's (v, x^v) list with atom exclusion, by
+    minimal_conjugator_by_elements: an atom is dropped as soon as another
+    live atom divides an iterate met while minimising it.
+    """
+    s = x.struct
+    orbits = element_orbit_transports(x, kind)
+    live = set(range(len(s.atoms)))
+    out = []
+    for idx, atom in enumerate(s.atoms):
+        others = [j for j in sorted(live) if j != idx]
+
+        def probe(w: CanonicalElement) -> None:
+            if w.power >= 1:
+                if others:
+                    raise _Excluded
+                return
+            if w.power < 0 or not w.factors:
+                return
+            if any(simple_divides(s, s.atoms[j], w.factors[0]) for j in others):
+                raise _Excluded
+
+        try:
+            v = minimal_conjugator_by_elements(orbits, simple_element(s, atom), probe)
+        except _Excluded:
+            live.discard(idx)
+            continue
+        out.append((v, x.conj(v)))
+    return out

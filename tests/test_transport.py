@@ -1,18 +1,20 @@
 """Pushforward/pullback identities, the factor-chain calculus, minimal conjugators."""
 
 import itertools
-import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from garside import cycling, transport
 from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
-from garside.core import CanonicalElement, delta_power, identity_element, normalize, simple_element
+from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
     cstar_representative,
     in_recurrence_set,
     recurrence_orders,
+    recurrent_representative,
     trajectory,
 )
 from garside.summit import c_star, ultra_summit_set
@@ -23,7 +25,13 @@ from garside.transport import (
 )
 
 from conftest import random_element
-from oracles import phi_definitional, pi_definitional
+from oracles import (
+    element_orbit_transports,
+    minimal_conjugator_by_elements,
+    phi_definitional,
+    pi_definitional,
+    seed_trajectories_by_elements,
+)
 
 N_INSTANCES = 1100
 
@@ -31,6 +39,15 @@ N_INSTANCES = 1100
 def star_transports(x):
     """The orbit transports of x at every order of its refined summit set."""
     return [OrbitTransport(x, q) for q in recurrence_orders("star", x)]
+
+
+def as_pair(u):
+    """D^m s as the (m, s) pair that orbit transports iterate."""
+    return u.power, (u.factors[0] if u.factors else u.struct.identity)
+
+
+def as_element(st, pair):
+    return simple_element(st, pair[1], pair[0])
 
 
 def _instances(rng, count, interior_only=False):
@@ -216,7 +233,7 @@ def test_orbit_transport_delta_powers(rng):
         x = cstar_representative(random_element(rng, rng.choice([3, 4]))).element
         st = x.struct
         q = rng.randint(x.inf, x.sup)
-        d = delta_power(st, rng.randint(-2, 2))
+        d = as_pair(delta_power(st, rng.randint(-2, 2)))
         ot = OrbitTransport(x, q)
         assert ot.push_around(d) == d
         assert ot.pull_around(d) == d
@@ -234,6 +251,7 @@ def test_orbit_push_recurrence_characterization(rng):
         ot = OrbitTransport(x, q)
         u = simple_element(st, random_simple(rng, 3), rng.choice([0, 1]))
         recurrent = in_recurrence_set(x.conj(u), q)
+        u = as_pair(u)
         seen = {u}
         cur = u
         returned = False
@@ -260,20 +278,20 @@ def test_orbit_pull_then_push_domination(rng):
             continue
         q = rng.randint(x.inf, x.sup)
         ot = OrbitTransport(x, q)
-        u = simple_element(st, random_simple(rng, 3))
+        u = as_pair(simple_element(st, random_simple(rng, 3)))
         seen = {u}
         while True:
             u = ot.pull_around(u)
             if u in seen:
                 break
             seen.add(u)
-        su = u.factors[0] if u.factors else st.identity
-        v = simple_element(st, st.join(su, random_simple(rng, 3)), u.power)
+        v = simple_element(st, st.join(u[1], random_simple(rng, 3)), u[0])
+        u = as_element(st, u)
         assert u.divides(v)
-        cur, ok = v, False
+        cur, ok = as_pair(v), False
         for _ in range(300):
             cur = ot.push_around(cur)
-            if u.divides(cur):
+            if u.divides(as_element(st, cur)):
                 ok = True
                 break
         assert ok, (x, q, u, v)
@@ -435,9 +453,9 @@ def test_summit_sets_keep_the_simple_product_contract(rng):
 
 def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
     # the seed step of a key element builds its interior-order transports
-    # from the orbits its trajectory's closure walked; each must list the
-    # same context elements, in the same order, as a transport built by
-    # cycling from scratch
+    # from the orbits its trajectory's closure walked, and its boundary-order
+    # ones in closed form; each must list the same context elements, in the
+    # same order, as the orbit that cycling from scratch walks
     built = []
 
     class RecordingOrbitTransport(OrbitTransport):
@@ -453,34 +471,112 @@ def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
             assert ss.verify_witnesses()
     assert sum(reused for _, reused in built) >= 10
     for ot, reused in built:
-        fresh = OrbitTransport(ot.x, ot.q)
-        assert [c.x for c in ot.contexts] == [c.x for c in fresh.contexts], (ot.x, ot.q)
+        walked = recurrent_representative(ot.x, ot.q).elements
+        assert [c.x for c in ot.contexts] == list(walked), (ot.x, ot.q)
         x = ot.x
         # only interior orders come from a closure, boundary orders never do
         assert reused == (x.inf < ot.q < x.sup), (x, ot.q)
 
 
 def test_transport_sweep_divides_short_elements(rng, monkeypatch):
-    # the domination test of the pushforward sweep runs on canonical
-    # lengths <= 1, where CanonicalElement.divides needs at most one meet
-    # and no product; a longer argument would silently take the slow path
-    sweep = minimal_recurrent_conjugator.__code__
-    original = CanonicalElement.divides
-    lengths = []
+    # the domination test of the pushforward sweep runs on (power, simple)
+    # pairs, with at most one meet; on every pair it sees it must answer as
+    # CanonicalElement.divides does on the elements the pairs stand for
+    original = transport._dominates
+    answers = []
 
-    def spy(a, b):
-        if sys._getframe(1).f_code is sweep:
-            lengths.append((a.clen, b.clen))
-        return original(a, b)
+    def spy(s, entering, cur):
+        out = original(s, entering, cur)
+        assert out == as_element(s, entering).divides(as_element(s, cur)), (entering, cur)
+        answers.append(out)
+        return out
 
-    monkeypatch.setattr(CanonicalElement, "divides", spy)
+    monkeypatch.setattr(transport, "_dominates", spy)
     for _ in range(12):
         n = rng.choice([4, 5, 6, 7])
         x = random_element(rng, n, max_len=3, min_len=1)
         for ss in (ultra_summit_set(x), c_star(x)):
             assert ss.verify_witnesses()
-    assert len(lengths) >= 100
-    assert all(la <= 1 and lb <= 1 for la, lb in lengths), sorted(set(lengths))
+    assert len(answers) >= 100
+    # the sweep stops at its first dominating iterate, so it may see no
+    # pair that fails the test: compare every pair of B_4 as well
+    st = braid_structure(4)
+    pairs = [as_pair(simple_element(st, t, m))
+             for m in (-1, 0, 1) for t in itertools.permutations(range(4))]
+    for a in pairs:
+        for b in pairs:
+            assert original(st, a, b) == as_element(st, a).divides(as_element(st, b)), (a, b)
+
+
+@hs.composite
+def sweep_cases(draw):
+    """A refined-summit element of B_3..B_8, from a word of D-power -1..1, and a summit kind."""
+    rng = draw(hs.randoms(use_true_random=False))
+    x = random_element(rng, draw(hs.integers(3, 8)), max_len=3, min_power=-1, max_power=1)
+    return cstar_representative(x).element, draw(hs.sampled_from(["super", "ultra", "star"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_pair_sweep_matches_the_element_oracle(case):
+    # the sweep on (power, simple) pairs against the same sweep on
+    # elements, for D^m times every atom with m in -1..1, and the seed
+    # step's (v, x^v) list with atom exclusion on
+    x, kind = case
+    st = x.struct
+    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
+    orbits = element_orbit_transports(x, kind)
+
+    def probe(pair):
+        # a D simple would make a second pair for the same element
+        assert pair[1] != st.delta, pair
+
+    for m in (-1, 0, 1):
+        for atom in st.atoms:
+            u = simple_element(st, atom, m)
+            expected = minimal_conjugator_by_elements(orbits, u)
+            assert minimal_recurrent_conjugator(transports, u, probe) == expected, (x, kind, u)
+    assert transport._seed_trajectories(x, kind) == seed_trajectories_by_elements(x, kind)
+
+
+def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
+    # at q <= inf x the orbit is the tau^q-orbit of x, at q >= sup x the
+    # fixed point x: built with no cycling step, they list the elements
+    # that cycling walks
+    def no_cycling(x, q):
+        raise AssertionError(f"cycled at the boundary order {q}")
+
+    b2, b4 = braid_structure(2), braid_structure(4)
+    assert b2.order_of_tau == 1
+    tau_fixed = [parse_word("2", 4), parse_word("1 3 1 3", 4), delta_power(b4, 1) * parse_word("2", 4)]
+    assert all(x.tau_pow(1) == x for x in tau_fixed)
+    xs = [parse_word("1 1 1", 2), parse_word("-1", 2), delta_power(b2, 3)]
+    xs += tau_fixed + [delta_power(b4, k) for k in (-2, 0, 1)] + [identity_element(b4)]
+    xs += [random_element(rng, rng.randint(2, 6), max_len=3) for _ in range(40)]
+    assert any(x.clen == 0 for x in xs) and any(x.tau_pow(1) != x for x in xs)
+    for x in xs:
+        orders = [*range(x.inf - 2, x.inf + 1), *range(x.sup, x.sup + 3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(transport, "recurrent_representative", no_cycling)
+            built = [OrbitTransport(x, q) for q in orders]
+        for ot in built:
+            walked = recurrent_representative(x, ot.q).elements
+            assert [c.x for c in ot.contexts] == list(walked), (x, ot.q)
+
+
+def test_minimal_conjugator_validates_its_argument():
+    # the sweep converts u to a pair once, on entry, where it raises as
+    # push and pull do on an element of another structure or canonical
+    # length above 1
+    x = cstar_representative(parse_word("1 2 2 1 2", 3)).element
+    transports = star_transports(x)
+    for u in (parse_word("1", 4), delta_power(braid_structure(4), 1)):
+        with pytest.raises(ValueError, match="different structures"):
+            minimal_recurrent_conjugator(transports, u)
+    long_u = parse_word("1 1", 3)
+    assert long_u.clen == 2
+    with pytest.raises(ValueError, match="canonical length"):
+        minimal_recurrent_conjugator(transports, long_u)
 
 
 def test_orbit_walk_from_a_start_that_is_not_recurrent():
