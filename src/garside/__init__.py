@@ -38,10 +38,11 @@ from .cycling import (
     cyc_q,
     dec,
     in_recurrence_set,
+    is_rigid,
     recurrent_representative,
     trajectory,
 )
-from .rigid import RigidReport, c_star_star_rigid, is_rigid, rigid_power, stable_exponents
+from .rigid import RigidReport, c_star_star_rigid, rigid_power, stable_exponents
 from .summit import (
     BudgetExceeded,
     ConjugacyAnswer,

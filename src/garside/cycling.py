@@ -21,6 +21,14 @@ closure takes every interior-order step from every member, so it also
 returns the closed orbits of its key element, which the summit closure's
 seed step turns into orbit transports without cycling again.
 
+A rigid element, one whose normal form survives squaring, lies on a closed
+orbit of every cycling of every double order (is_rigid proves it), and
+rigidity is read off the one factor pair at the junction of x with itself.
+So every caller that only asks whether an element is recurrent answers a
+rigid one without walking: in_recurrence_set, and the order sweep, which
+stops as soon as the element it holds is rigid.  recurrent_representative
+still walks, because transports need the orbit's elements.
+
 Everything here is pure and operates on immutable values.
 """
 
@@ -69,6 +77,50 @@ def cyc_pq(x: CanonicalElement, p: int, q: int) -> tuple[CanonicalElement, Canon
         return cyc_q(x, q)
     conj = (x ** p).meet_delta(q)
     return x.conj(conj), conj
+
+
+def is_rigid(x: CanonicalElement) -> bool:
+    """
+    Whether x = D^p x_1...x_l is rigid: l > 0 and the pair (tau^p(x_l), x_1)
+    is left-weighted, so that the normal form of x^2 is that of x written
+    twice, D^{2p} tau^p(x_1...x_l) x_1...x_l (Birman, Gebhardt and
+    Gonzalez-Meneses, "Conjugacy in Garside groups I: cyclings, powers and
+    rigidity", 2007).  One slide of that pair reads it.
+
+    A rigid x lies on a closed orbit of the (r, q) cycling for every r and
+    every q.  Order q with p < q < p + l and k = q - p conjugates x by
+    D^p x_1...x_k, giving
+
+        D^p tau^p(x_{k+1})...tau^p(x_l) x_1...x_k,
+
+    which is left-weighted as written: the inner pairs are pairs of x or
+    their images under tau^p, which preserves left-weighting, and the
+    junction is the rigidity pair.  So the step is a twisted rotation of
+    the factors.  Its result has the same inf and sup, and is rigid again:
+    its rigidity pair is the image under tau^p of the pair (x_k, x_{k+1}).
+    The twisted rotations of x form a finite set, on which the step is the
+    same rotation for every element and can be undone, so it permutes that
+    set and x lies on one of its cycles.  Orders q <= p act as tau^q, and
+    orders q >= p + l fix x.
+
+    At a double order r >= 2, x^r = D^{rp} tau^{(r-1)p}(w)...tau^p(w) w with
+    w = x_1...x_l is in normal form, every junction being an image of the
+    rigidity pair under a power of tau.  Writing q - rp = jl + i with
+    0 <= i < l, the prefix x^r /\\ D^q is x^j (D^p x_1...x_i) D^{(r-j-1)p};
+    x^j commutes with x, so the (r, q) step is the order-(p + i) step
+    followed by tau^{(r-j-1)p}, again one permutation of the twisted
+    rotations (q outside [rp, r(p + l)] is tau^q or the identity, as
+    before).  At r <= -1, x^{-1} is rigid too: inversion carries the pairs
+    of the normal form of x, rigidity pair included, to those of x^{-1}.
+    The (r, q) step of x conjugates by the conjugator of the (-r, q) step
+    of x^{-1}, so the orbit of x is the inverse of a closed orbit of x^{-1}.
+    At r = 0 every element is recurrent.
+    """
+    fs = x.factors
+    if not fs:
+        return False
+    s = x.struct
+    return s.slide(s.tau_pow(fs[-1], x.power), fs[0])[1] == fs[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -125,9 +177,10 @@ def recurrent_representative(x: CanonicalElement, q: int, *, p: int = 1) -> Orbi
 def in_recurrence_set(x: CanonicalElement, q: int, *, p: int = 1) -> bool:
     """
     Whether x lies on a closed orbit of the (p, q) cycling; at p = 1, of
-    the order-q cycling, i.e. whether x is in G_q.
+    the order-q cycling, i.e. whether x is in G_q.  A rigid x is, at every
+    (p, q), without a walk.
     """
-    return recurrent_representative(x, q, p=p).entry_index == 0
+    return is_rigid(x) or recurrent_representative(x, q, p=p).entry_index == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,9 +201,14 @@ def _order_sweep(
     One ascending order sweep of the (p, q) cycling: at each q strictly
     inside the bounds of the current p-th power, which may shrink, move to
     the closed orbit of that order.  Returns the element reached, wit times
-    the conjugator from x to it, and whether anything moved.
+    the conjugator from x to it, and whether anything moved.  A rigid
+    element is recurrent at every order, so the sweep stops as soon as it
+    holds one: before the first order, and after each move, the only time
+    the element changes.
     """
     cur, moved = x, False
+    if is_rigid(cur):
+        return cur, wit, moved
     xp = cur ** p
     q = xp.inf + 1
     while q < xp.sup:
@@ -159,8 +217,10 @@ def _order_sweep(
             if rec.entry_index:
                 wit = wit * rec.witness
                 cur = rec.recurrent_element
-                xp = cur ** p
                 moved = True
+                if is_rigid(cur):
+                    break
+                xp = cur ** p
         q += 1
     return cur, wit, moved
 
@@ -297,8 +357,9 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
     cycling (p, q) for every p in [m, n] and every q: run the ascending
     order sweep for each p in turn and repeat until a full pass changes
     nothing, at which point every orbit check found its start already
-    recurrent, i.e. the element is simultaneously stable.  No bound on the
-    number of passes is known, hence the cap.
+    recurrent, or the element is rigid and needed none, i.e. the element
+    is simultaneously stable.  No bound on the number of passes is known,
+    hence the cap.
     """
     if m > n:
         raise ValueError("need m <= n")

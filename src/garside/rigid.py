@@ -2,12 +2,15 @@
 rigid: rigid elements, stable exponents and rigid-power detection.
 
 An element x of positive canonical length is rigid when its normal form
-survives squaring: x^2 /\\ D^{inf x + sup x} = x D^{inf x}.  Cycling acts on
-a rigid element by cyclically permuting its factors (up to tau), so rigid
-elements are recurrent under every double-order cycling, and for rigid x
-the set of conjugates recurrent at every double order is exactly the set
-of rigid conjugates, obtained by filtering the super summit set with the
-order-(2, inf+sup) recurrence test.
+survives squaring: x^2 /\\ D^{inf x + sup x} = x D^{inf x}.  The test,
+cycling.is_rigid, reads this off the one factor pair at the junction of x
+with itself.  Cycling acts on a rigid element by cyclically permuting its
+factors (up to tau), so rigid elements are recurrent under every
+double-order cycling, and the cycling layer answers their recurrence
+without walking an orbit.  For rigid x the set of conjugates recurrent at
+every double order is exactly the set of rigid conjugates, obtained by
+filtering the super summit set with the order-(2, inf+sup) recurrence
+test, which holds at once for its rigid members.
 
 Whether some power of x is conjugate to a rigid element is decided through
 the stable exponents N1, N2: denominators of the extremal normalized summit
@@ -26,16 +29,9 @@ import dataclasses
 from fractions import Fraction
 from math import lcm
 
-from .core import CanonicalElement, delta_power
-from .cycling import cstar_representative, in_recurrence_set, recurrent_representative
+from .core import CanonicalElement
+from .cycling import cstar_representative, in_recurrence_set, is_rigid, recurrent_representative
 from .summit import SummitSet, summit_bounds, super_summit_set
-
-
-def is_rigid(x: CanonicalElement) -> bool:
-    """Whether the normal form of x survives squaring (and len x > 0)."""
-    if x.clen == 0:
-        return False
-    return (x * x).meet_delta(x.inf + x.sup) == x * delta_power(x.struct, x.inf)
 
 
 def stable_exponents(x: CanonicalElement) -> tuple[int, int]:
@@ -77,19 +73,21 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     Detect whether some power of x is conjugate to a rigid element, and if
     so exhibit one: take N = lcm of the stable exponents, move x^N to the
     summit, then iterate the order-(2, infs+sups) cycling to recurrence and
-    test the element reached for rigidity.
+    test the element reached for rigidity.  A summit element that is rigid
+    already is recurrent there, so the walk would return it with the
+    identity as witness and is skipped.
     """
     n1, n2 = stable_exponents(x)
     n = lcm(n1, n2)
     xn = x ** n
     rep = cstar_representative(xn)
     y, wit = rep.element, rep.witness
-    qbar = y.inf + y.sup
-    rec = recurrent_representative(y, qbar, p=2)
-    y = rec.recurrent_element
-    wit = wit * rec.witness
     if not is_rigid(y):
-        return RigidReport(False, (n1, n2))
+        rec = recurrent_representative(y, y.inf + y.sup, p=2)
+        y = rec.recurrent_element
+        wit = wit * rec.witness
+        if not is_rigid(y):
+            return RigidReport(False, (n1, n2))
     return RigidReport(True, (n1, n2), power=n, rigid_conjugate=y, witness=wit)
 
 

@@ -328,6 +328,80 @@ def conjugation_components(st: BraidStructure, cap: int) -> dict[CanonicalElemen
     return {z: find(i) for z, i in index.items()}
 
 
+def is_rigid_by_squaring(x: CanonicalElement) -> bool:
+    """
+    Rigidity by its definition: x has positive canonical length and its
+    normal form survives squaring, x^2 /\\ D^{inf x + sup x} = x D^{inf x}.
+    The reference for cycling.is_rigid, which reads one factor pair.
+    """
+    if x.clen == 0:
+        return False
+    return (x * x).meet_delta(x.inf + x.sup) == x * delta_power(x.struct, x.inf)
+
+
+# The recurrence questions answered by walking a closed orbit every time,
+# with no rigidity exit: the references for cycling's order sweep, its
+# two representatives, summit_bounds and in_recurrence_set.  Each reads
+# recurrent_representative off the cycling module at call time.
+
+
+def order_sweep_by_walking(x: CanonicalElement, wit: CanonicalElement, p: int):
+    """The ascending (p, q) order sweep, walking an orbit at every order."""
+    from garside import cycling
+
+    cur, moved = x, False
+    xp = cur ** p
+    q = xp.inf + 1
+    while q < xp.sup:
+        if q > xp.inf:
+            rec = cycling.recurrent_representative(cur, q, p=p)
+            if rec.entry_index:
+                wit = wit * rec.witness
+                cur = rec.recurrent_element
+                xp = cur ** p
+                moved = True
+        q += 1
+    return cur, wit, moved
+
+
+def cstar_representative_by_walking(x: CanonicalElement) -> tuple:
+    """(element, witness) of the order sweep at p = 1."""
+    return order_sweep_by_walking(x, identity_element(x.struct), 1)[:2]
+
+
+def cmn_star_representative_by_walking(x: CanonicalElement, m: int, n: int) -> tuple:
+    """(element, witness) of the order sweeps for p in [m, n], repeated to a fixed point."""
+    cur, wit = x, identity_element(x.struct)
+    while True:
+        changed = False
+        for p in range(m, n + 1):
+            if p:
+                cur, wit, moved = order_sweep_by_walking(cur, wit, p)
+                changed = changed or moved
+        if not changed:
+            return cur, wit
+
+
+def summit_bounds_by_walking(x: CanonicalElement) -> tuple[int, int]:
+    """summit_bounds' two phases of closed orbits, each walked to its end."""
+    from garside import cycling
+
+    y = x
+    for order in (lambda z: z.inf + 1, lambda z: z.sup - 1):
+        while y.clen > 1:
+            q = order(y)
+            y = cycling.recurrent_representative(y, q).recurrent_element
+            if order(y) == q:
+                break
+    return y.inf, y.sup
+
+
+def in_recurrence_set_by_walking(x: CanonicalElement, q: int, p: int) -> bool:
+    from garside import cycling
+
+    return cycling.recurrent_representative(x, q, p=p).entry_index == 0
+
+
 def cstar_summit_bounds(x: CanonicalElement) -> tuple[int, int]:
     """
     (summit inf, summit sup) read off the refined-summit representative,

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from garside import cycling
 from garside.braid import braid_structure, parse_word
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
@@ -15,12 +18,19 @@ from garside.cycling import (
     cyc_q,
     dec,
     in_recurrence_set,
+    is_rigid,
     recurrent_representative,
     trajectory,
 )
 from garside.summit import summit_bounds
 
-from conftest import random_element
+from conftest import random_element, random_rigid_element
+from oracles import (
+    cmn_star_representative_by_walking,
+    cstar_representative_by_walking,
+    in_recurrence_set_by_walking,
+    summit_bounds_by_walking,
+)
 
 
 def test_cyc_q_examples():
@@ -289,3 +299,71 @@ def test_cmn_star_on_rigid_returns_input(rng):
         found += 1
         w = cmn_star_representative(x, -2, 3)
         assert w.element == x and w.witness == identity_element(x.struct)
+
+
+@hs.composite
+def sweep_inputs(draw):
+    """
+    An element of B_3..B_8: rigid, a random conjugate of a rigid one (whose
+    sweeps may turn rigid part-way), a Delta power, or a random word.
+    """
+    n = draw(hs.integers(3, 8))
+    st = braid_structure(n)
+    shape = draw(hs.sampled_from(["rigid", "rigid conjugate", "delta power", "random"]))
+    if shape == "delta power":
+        return delta_power(st, draw(hs.integers(-3, 3)))
+    # a seeded generator, not hypothesis's: drawing rigid elements rejects
+    # words, which a shrunk hypothesis random would repeat forever
+    rng = random.Random(draw(hs.integers(0, 2**32)))
+    if shape == "random":
+        return random_element(rng, n, max_len=3)
+    x = random_rigid_element(rng, n, max_len=2)
+    if shape == "rigid conjugate":
+        x = x.conj(random_element(rng, n, max_len=2, min_len=1))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_inputs())
+@example(parse_word("1", 3))
+@example(parse_word("1 1", 3).conj(parse_word("2 1", 3)))
+@example(delta_power(braid_structure(4), -1))
+def test_rigid_exits_match_the_walks(x):
+    # every answer that stops early at a rigid element must be the one the
+    # walk over every order returns, witnesses included
+    w = cstar_representative(x)
+    assert (w.element, w.witness) == cstar_representative_by_walking(x)
+    for m in range(-2, 4):
+        for n in range(m, 4):
+            w = cmn_star_representative(x, m, n)
+            assert (w.element, w.witness) == cmn_star_representative_by_walking(x, m, n), (m, n)
+    assert summit_bounds(x) == summit_bounds_by_walking(x)
+    for p in (-1, 1, 2, 3):
+        xp = x ** p
+        for q in range(xp.inf - 1, xp.sup + 2):
+            assert in_recurrence_set(x, q, p=p) == in_recurrence_set_by_walking(x, q, p), (p, q)
+
+
+def test_sweep_stops_once_rigid(rng, monkeypatch):
+    # conjugates of rigid elements: the sweep walks until it reaches a rigid
+    # element and no further, where the walking sweep confirms every order
+    walks = []
+    original = cycling.recurrent_representative
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cycling, "recurrent_representative", counted)
+    stopped = 0
+    for _ in range(100):
+        n = rng.choice([3, 4, 5])
+        x = random_rigid_element(rng, n, max_len=5).conj(random_element(rng, n, max_len=1, min_len=1))
+        walks.clear()
+        w = cstar_representative(x)
+        ours = len(walks)
+        walks.clear()
+        assert (w.element, w.witness) == cstar_representative_by_walking(x)
+        if is_rigid(w.element) and 0 < ours < len(walks):
+            stopped += 1
+    assert stopped >= 5

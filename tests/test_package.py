@@ -34,6 +34,11 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
+def test_rigidity_has_one_definition():
+    # the cycling layer's exits and the rigid module read the same test
+    assert garside.is_rigid is garside.rigid.is_rigid is garside.cycling.is_rigid
+
+
 def test_no_private_imports_across_modules():
     assert SOURCES
     found = set()

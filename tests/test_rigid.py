@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from garside.braid import braid_structure, parse_word
-from garside.core import delta_power, simple_element
-from garside.cycling import cyc_q
+from garside.braid import braid_structure, parse_word, random_simple
+from garside.core import delta_power, identity_element, normalize, simple_element
+from garside.cycling import cyc_q, recurrent_representative
 from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
 from garside.summit import c_star, summit_bounds
 
-from conftest import random_element
-from oracles import cstar_summit_bounds, nontrivial_simples
+from conftest import random_element, random_rigid_element
+from oracles import cstar_summit_bounds, is_rigid_by_squaring, nontrivial_simples
 
 
 def random_rigid(rng, max_n=4, max_len=3):
@@ -28,6 +30,45 @@ def test_is_rigid_examples():
     assert not is_rigid(parse_word("1 2", 3))
     for k in (-2, 0, 1, 5):
         assert not is_rigid(delta_power(st, k))
+
+
+@hs.composite
+def rigidity_cases(draw):
+    """
+    Normal forms of B_2..B_8 with power -4..4 and 0..4 simples, half of
+    them words of one repeated simple, which are rigid more often.
+    """
+    n = draw(hs.integers(2, 8))
+    rng = draw(hs.randoms(use_true_random=False))
+    k = draw(hs.integers(0, 4))
+    if draw(hs.booleans()):
+        word = [random_simple(rng, n)] * k
+    else:
+        word = [random_simple(rng, n) for _ in range(k)]
+    return normalize(braid_structure(n), draw(hs.integers(-4, 4)), word)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rigidity_cases())
+@example(identity_element(braid_structure(3)))
+@example(delta_power(braid_structure(5), -2))
+@example(delta_power(braid_structure(2), 3))
+@example(parse_word("1", 3))
+@example(parse_word("-1", 4))
+def test_is_rigid_matches_squaring(x):
+    # one slide of the pair (tau^p(x_l), x_1) against the definition
+    assert is_rigid(x) == is_rigid_by_squaring(x)
+
+
+def test_rigid_elements_are_recurrent_at_every_double_order(rng):
+    # the theorem behind the cycling layer's rigid exits: every rigid x lies
+    # on a closed orbit of the (p, q) cycling, for every q the exits cover
+    for _ in range(40):
+        x = random_rigid_element(rng, rng.choice([3, 4, 5, 6, 7, 8]), max_len=4)
+        for p in (-1, 1, 2, 3):
+            xp = x ** p
+            for q in range(min(x.inf, xp.inf) - 1, max(x.sup, xp.sup) + 2):
+                assert recurrent_representative(x, q, p=p).entry_index == 0, (x, p, q)
 
 
 def test_rigid_iff_normal_form_survives_one_cycle(rng):

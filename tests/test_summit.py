@@ -95,6 +95,34 @@ def test_ultra_members_cycling_recurrent(rng):
             assert closed_orbit(m, lambda w: (cyc(w), ident)).entry_index == 0
 
 
+# A test-3 braid of B_20 with inf 1 and canonical length 5 (the input of
+# operation 60 of the generic-b20 benchmark pool at seed 3), as zero-indexed
+# permutation tables.  Its ultra summit set has 20 members.  Seeding only the
+# atoms below the untwisted first factors x_1 and (x^-1)_1, instead of
+# iota(x) = tau^{-inf x}(x_1) and iota(x^-1), loses half of them, and so
+# does adding the atoms below rc(x_l).
+ULTRA_B20_FACTORS = (
+    (19, 17, 10, 9, 16, 8, 15, 13, 12, 18, 11, 4, 3, 2, 6, 5, 14, 1, 7, 0),
+    (19, 18, 6, 16, 3, 5, 4, 9, 17, 11, 1, 10, 8, 0, 2, 15, 14, 7, 13, 12),
+    (11, 8, 13, 15, 18, 5, 7, 12, 4, 6, 17, 10, 14, 16, 2, 1, 0, 3, 9, 19),
+    (4, 0, 1, 2, 7, 6, 16, 14, 3, 5, 9, 12, 18, 11, 17, 10, 19, 15, 8, 13),
+    (0, 1, 3, 12, 4, 6, 11, 8, 10, 7, 9, 16, 2, 5, 14, 15, 17, 18, 13, 19),
+)
+
+
+def test_ultra_set_keeps_every_seed_atom_member():
+    from garside.cycling import recurrent_representative
+
+    x = normalize(braid_structure(20), 1, ULTRA_B20_FACTORS)
+    assert (x.inf, x.clen, x.factors) == (1, 5, ULTRA_B20_FACTORS)
+    uss = ultra_summit_set(x)
+    assert len(uss) == 20
+    assert uss.verify_witnesses()
+    for m in uss.members:
+        assert (m.inf, m.sup) == (uss.infs, uss.sups)
+        assert recurrent_representative(m, uss.infs + 1).entry_index == 0
+
+
 def test_conjugacy_invariance(rng):
     for _ in range(25):
         n = rng.choice([3, 4])
