@@ -49,7 +49,11 @@ class GarsideStructure(abc.ABC):
     Concrete subclasses must be hashable and comparable by value, since
     elements embed a reference to their structure.  Simple handles are
     hashable and compared by value too: callers test for the identity and
-    D with == against the identity and delta attributes.
+    D with == against the identity and delta attributes.  They must also
+    be totally ordered by <, because CanonicalElement.key compares factor
+    handles: the order of the handles fixes the member order of every
+    summit set, each trajectory's key element, the order in which the
+    summit closures seed, and so the witnesses they assign.
     """
 
     identity: Simple
@@ -214,7 +218,7 @@ class CanonicalElement:
         return self.power * s.delta_norm + sum(s.norm(f) for f in self.factors)
 
     def key(self) -> tuple:
-        """Total-order key on elements of one structure: (power, factor tables)."""
+        """Total-order key on elements of one structure: (power, factor handles)."""
         return (self.power, self.factors)
 
     def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":
@@ -283,35 +287,9 @@ class CanonicalElement:
     def divides(self, other: "CanonicalElement") -> bool:
         """
         Whether self left-divides other in the group's positive cone:
-        self^{-1} other is positive, that is, its inf is at least 0.
-
-        When both sides have canonical length at most 1, as in the
-        transport sweep's domination test on (power, simple) pairs, which
-        rests on this case, write self = D^p s and other = D^r t with
-        s and t proper simples or absent (absent standing for the identity)
-        and answer from the normal forms:
-        - r > p: s divides D, which divides D^{r-p} t, so self divides
-          D^p D^{r-p} t = other;
-        - r < p: self dividing other would give D^p dividing other, so
-          inf other >= p; but inf other = r, since t is not D;
-        - r = p: self^{-1} other = s^{-1} t, so self divides other exactly
-          when s divides t: s is absent, or t is present and s /\\ t = s.
-        That costs at most one meet.  Every other case pays for an inverse
-        and a product.
+        self^{-1} other is positive, that is, its inf is at least 0.  The
+        product raises ValueError for elements of different structures.
         """
-        s = self.struct
-        if other.struct is not s and other.struct != s:
-            raise ValueError("elements belong to different structures")
-        mine, theirs = self.factors, other.factors
-        if len(mine) <= 1 and len(theirs) <= 1:
-            p, r = self.power, other.power
-            if r > p:
-                return True
-            if r < p:
-                return False
-            if not mine:
-                return True
-            return bool(theirs) and s.meet(mine[0], theirs[0]) == mine[0]
         return (self.inv() * other).inf >= 0
 
     def __repr__(self) -> str:

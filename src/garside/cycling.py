@@ -16,10 +16,12 @@ decreases and sup never increases, so the reachable set is finite.  The
 elements lying on closed orbits of order q form the recurrence set G_q;
 elements recurrent at every order are exactly the members of the refined
 summit set of their conjugacy class, and the trajectory of such an element
-is its closure under all interior-order cyclings together with tau.  That
-closure takes every interior-order step from every member, so it also
-returns the closed orbits of its key element, which the summit closure's
-seed step turns into orbit transports without cycling again.
+is its closure under all interior-order cyclings together with tau.  The
+closure takes its orders as one ascending list from inf to sup, and
+summit.py decides which orders each summit kind needs.  It takes every
+interior-order step from every member, so it also returns the closed
+orbits of its key element, which the summit closure's seed step turns into
+orbit transports without cycling again.
 
 A rigid element, one whose normal form survives squaring, lies on a closed
 orbit of every cycling of every double order (is_rigid proves it), and
@@ -35,7 +37,7 @@ Everything here is pure and operates on immutable values.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .core import CanonicalElement, delta_power, identity_element
 
@@ -241,7 +243,7 @@ class Trajectory:
     """
     A finite set of elements closed under tau and under the cycling orders
     used to build it, with a canonical representative (the member minimal
-    under the (power, factor tables) order) used for deduplication.  Each
+    under the (power, factor handles) order) used for deduplication.  Each
     witness u satisfies b^u = member for one start element b: x itself
     for trajectory(x), the set's base for a summit set's trajectories.
     """
@@ -254,33 +256,16 @@ class Trajectory:
         return len(self.members)
 
 
-def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
-    """
-    The cycling orders, ascending, at which members of the summit set of
-    the given kind ("super", "ultra" or "star") must be recurrent, read off
-    the bounds of an element y of that set.  Only the orders strictly
-    inside (inf y, sup y) constrain anything: recurrence at the boundary
-    orders holds for free.  Raises ValueError for an unknown kind.
-    """
-    if kind == "star":
-        return list(range(y.inf, y.sup + 1))
-    if kind == "ultra":
-        return sorted({y.inf, min(y.inf + 1, y.sup), y.sup})
-    if kind == "super":
-        return sorted({y.inf, y.sup})
-    raise ValueError(f"unknown summit kind {kind!r}")
-
-
 def _closure_trajectory(
-    seed: CanonicalElement, kind: str, conj: CanonicalElement
+    seed: CanonicalElement, orders: Sequence[int], conj: CanonicalElement
 ) -> tuple[Trajectory, dict[int, tuple[CanonicalElement, ...]]]:
     """
-    Worklist closure of the tau-orbit of seed under the interior recurrence
-    orders of the given summit kind.  conj carries the start element of the
-    witnesses to seed, so each member's witness is one product.  All
-    members must keep the seed's (inf, sup), so the orders are read once
-    off the seed; a drift means the seed was not recurrent at some order,
-    which is reported as an error.
+    Worklist closure of the tau-orbit of seed under the interior orders of
+    the ascending list orders, which starts at inf seed and ends at sup
+    seed.  conj carries the start element of the witnesses to seed, so each
+    member's witness is one product.  All members must keep the bounds
+    (orders[0], orders[-1]); a drift means the seed was not recurrent at
+    some order, which is reported as an error.
 
     The closure takes one cycling step of every order from every member,
     so it records each member's successor at each interior order, and
@@ -290,8 +275,8 @@ def _closure_trajectory(
     transports from them.  The successor maps are dropped on return.
     """
     s = seed.struct
-    bounds = (seed.inf, seed.sup)
-    interior = [q for q in recurrence_orders(kind, seed) if seed.inf < q < seed.sup]
+    bounds = (orders[0], orders[-1])
+    interior = orders[1:-1]
     successors: dict[int, dict[CanonicalElement, CanonicalElement]] = {q: {} for q in interior}
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     queue: list[CanonicalElement] = []
@@ -348,7 +333,7 @@ def trajectory(x: CanonicalElement) -> Trajectory:
     every order (as produced by cstar_representative).  The witnesses
     start from x.
     """
-    return _closure_trajectory(x, "star", identity_element(x.struct))[0]
+    return _closure_trajectory(x, range(x.inf, x.sup + 1), identity_element(x.struct))[0]
 
 
 def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedElement:

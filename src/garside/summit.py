@@ -15,7 +15,11 @@ produced by the ascending order sweep, split the set into trajectories
 grow trajectory by trajectory using minimal conjugators above atoms, with
 the atom-exclusion shortcut.  For the super kind the trajectories are just
 tau-orbits and for the ultra kind tau-closed cycling orbits, so the engine
-specializes to the classical algorithms for those sets.
+specializes to the classical algorithms for those sets.  The kinds are
+named here only: recurrence_orders turns a kind into its ascending list of
+orders, read once per closure off the representative, whose bounds every
+member shares, and the trajectory closure and the seed step below it take
+that list.
 
 Budget guards (wall clock and set size) let callers abort computations that
 explode, which reducible braids routinely make the ultra summit set do.
@@ -40,7 +44,6 @@ from .cycling import (
     _closure_trajectory,
     cstar_representative,
     is_rigid,
-    recurrence_orders,
     recurrent_representative,
 )
 from .transport import _seed_trajectories
@@ -122,6 +125,24 @@ def summit_bounds(x: CanonicalElement) -> tuple[int, int]:
     return y.inf, y.sup
 
 
+def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
+    """
+    The cycling orders, ascending, at which members of the summit set of
+    the given kind ("super", "ultra" or "star") must be recurrent, read off
+    the bounds of an element y of that set.  The list starts at inf y and
+    ends at sup y.  Only the orders strictly inside (inf y, sup y)
+    constrain anything: recurrence at the boundary orders holds for free.
+    Raises ValueError for an unknown kind.
+    """
+    if kind == "star":
+        return list(range(y.inf, y.sup + 1))
+    if kind == "ultra":
+        return sorted({y.inf, min(y.inf + 1, y.sup), y.sup})
+    if kind == "super":
+        return sorted({y.inf, y.sup})
+    raise ValueError(f"unknown summit kind {kind!r}")
+
+
 class _Budget:
     def __init__(self, kind: str, budget_ms: float | None, max_size: int | None):
         self.kind = kind
@@ -146,8 +167,10 @@ def _summit_closure(
     target: CanonicalElement | None = None,
 ) -> SummitSet:
     # rep is x's refined-summit representative, which the caller computes
-    # under the budget it started, so the representative counts too
+    # under the budget it started, so the representative counts too; every
+    # member shares its bounds, so its orders are every trajectory's
     y0, w0 = rep.element, rep.witness
+    orders = recurrence_orders(kind, y0)
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     # only the star kind returns its trajectories, so only it keeps them
@@ -157,7 +180,7 @@ def _summit_closure(
     queue: list[tuple[CanonicalElement, dict]] = []
 
     def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:
-        traj, orbits = _closure_trajectory(z, kind, conj_to_z)
+        traj, orbits = _closure_trajectory(z, orders, conj_to_z)
         if trajectories is not None:
             trajectories.append(traj)
         budget.count(len(traj))
@@ -174,7 +197,7 @@ def _summit_closure(
         if y.clen == 0:
             continue
         wy = witnesses[y]
-        for conj, z in _seed_trajectories(y, kind, orbits):
+        for conj, z in _seed_trajectories(y, orders, orbits):
             budget.count()
             # trajectories partition the set, so a known z means a known
             # trajectory, and its conjugator is only multiplied out when new

@@ -51,7 +51,7 @@ from .core import (
     Simple,
     simple_element,
 )
-from .cycling import NotRecurrentError, recurrence_orders, recurrent_representative
+from .cycling import NotRecurrentError, recurrent_representative
 
 
 def _phi_simple(
@@ -239,9 +239,15 @@ Probe = Callable[[Pair], None]
 
 def _dominates(s: GarsideStructure, entering: Pair, cur: Pair) -> bool:
     """
-    Whether D^p s divides D^r t for pairs (p, s) and (r, t): r > p, or
-    r = p and s divides t.  CanonicalElement.divides proves this for
-    canonical length <= 1, with the identity standing for an absent factor.
+    Whether D^p a divides D^r b for pairs (p, a) and (r, b), with a and b
+    simples other than D: at most one meet, where CanonicalElement.divides
+    pays for an inverse and a product.  Three cases:
+    - r > p: a divides D, which divides D^{r-p} b, so D^p a divides
+      D^p D^{r-p} b = D^r b;
+    - r < p: D^p a dividing D^r b would give D^p dividing D^r b, so
+      inf D^r b >= p; but inf D^r b = r, since b is not D;
+    - r = p: (D^p a)^{-1} D^r b = a^{-1} b, so D^p a divides D^r b exactly
+      when a divides b, that is, a /\\ b = a (the identity divides all).
     """
     p, a = entering
     r, b = cur
@@ -309,17 +315,19 @@ class _Excluded(Exception):
 
 def _seed_trajectories(
     x: CanonicalElement,
-    kind: str,
+    orders: Sequence[int],
     orbits: Mapping[int, Sequence[CanonicalElement]] | None = None,
 ) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
     The seed step of the summit closures of every kind.  Returns (v, x^v)
-    pairs, one per surviving atom, where v is the minimal recurrent
-    conjugator above the atom, and builds the orbit transports of x once
+    pairs, one per surviving atom, where v is the minimal conjugator above
+    the atom that makes x^v recurrent at every one of orders, an ascending
+    list from inf x to sup x, and builds one orbit transport of x per order
     for all atoms.  The trajectories of the x^v cover every
-    minimal-conjugator successor trajectory of x inside the summit set of
-    the given kind, so there are at most as many as atoms.  No trajectory
-    is built here: the caller closes the ones it has not seen yet.
+    minimal-conjugator successor trajectory of x inside the set of
+    conjugates recurrent at those orders, so there are at most as many as
+    atoms.  No trajectory is built here: the caller closes the ones it has
+    not seen yet.
 
     orbits holds closed orbits of x by order, as the closure of the
     trajectory of x returns them for its interior orders; an order it
@@ -332,7 +340,7 @@ def _seed_trajectories(
     """
     s = x.struct
     orbits = orbits or {}
-    transports = [OrbitTransport(x, q, orbits.get(q)) for q in recurrence_orders(kind, x)]
+    transports = [OrbitTransport(x, q, orbits.get(q)) for q in orders]
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, CanonicalElement]] = []

@@ -463,7 +463,8 @@ def element_orbit_transports(x: CanonicalElement, kind: str) -> list[list]:
     contexts around the closed orbit of x, walked by recurrent_representative
     at every order, boundary orders included.
     """
-    from garside.cycling import recurrence_orders, recurrent_representative
+    from garside.cycling import recurrent_representative
+    from garside.summit import recurrence_orders
     from garside.transport import TransportContext
 
     out = []

@@ -17,6 +17,7 @@ from garside.core import (
     normalize,
     simple_element,
 )
+from garside.transport import _dominates, _pair
 
 from conftest import random_element
 import oracles
@@ -104,7 +105,9 @@ def test_invert_roundtrip(rng):
 def normal_forms(draw):
     """Normal forms of B_2..B_9 with power -4..4 and 0..8 random simples."""
     n = draw(hs.integers(2, 9))
-    rng = draw(hs.randoms(use_true_random=False))
+    # a seeded generator, as in divides_cases: shuffles and identity redraws
+    # can use up the entropy budget of a hypothesis random
+    rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
     word = [random_simple(rng, n) for _ in range(draw(hs.integers(0, 8)))]
     return normalize(braid_structure(n), draw(hs.integers(-4, 4)), word)
 
@@ -347,16 +350,20 @@ def _divides_pairs(st, powers, simples, word1, word2):
 @example((BraidStructure(4), [1, 1, -1], [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 2, 1, 0)],
           [(1, 0, 2, 3), (0, 2, 1, 3)], [(2, 1, 0, 3), (0, 1, 3, 2), (1, 0, 2, 3)]))
 def test_divides_matches_the_group_oracle(case):
-    # the canonical-length <= 1 rule against "a^{-1} b is positive" in full
-    # group arithmetic, which is also the rule for every longer pair
+    # the transport sweep's one-meet rule on (power, simple) pairs against
+    # "a^{-1} b is positive" in full group arithmetic, which divides computes
+    # on every pair
     st, *ingredients = case
     for a, b in _divides_pairs(st, *ingredients):
-        assert a.divides(b) == oracles.divides(a, b), (a.power, a.factors, b.power, b.factors)
+        expected = oracles.divides(a, b)
+        assert a.divides(b) == expected, (a.power, a.factors, b.power, b.factors)
+        if a.clen <= 1 and b.clen <= 1:
+            assert _dominates(st, _pair(st, a), _pair(st, b)) == expected
 
 
 def test_divides_answers_both_ways_on_short_pairs(rng):
     # seeded pairs against the oracle, with both answers occurring on short
-    # pairs of equal and of different powers
+    # pairs of equal and of different powers, which the sweep's rule answers
     answers = set()
     for _ in range(200):
         n = rng.randint(2, 6)
@@ -365,9 +372,11 @@ def test_divides_answers_both_ways_on_short_pairs(rng):
         powers = [p, p + rng.choice([-1, 0, 0, 1]), rng.randint(-2, 2)]
         simples = [random_simple(rng, n) for _ in range(4)]
         for a, b in _divides_pairs(st, powers, simples, [], []):
-            assert a.divides(b) == oracles.divides(a, b)
+            expected = oracles.divides(a, b)
+            assert a.divides(b) == expected
             if a.clen <= 1 and b.clen <= 1:
-                answers.add((a.power == b.power, a.divides(b)))
+                assert _dominates(st, _pair(st, a), _pair(st, b)) == expected
+                answers.add((a.power == b.power, expected))
     assert answers == {(True, True), (True, False), (False, True), (False, False)}
 
 

@@ -39,6 +39,20 @@ def test_rigidity_has_one_definition():
     assert garside.is_rigid is garside.rigid.is_rigid is garside.cycling.is_rigid
 
 
+def test_summit_kinds_are_named_in_summit_only():
+    # the cycling and transport layers take an ascending list of recurrence
+    # orders; which orders each summit kind needs is decided in summit.py
+    assert garside.summit.recurrence_orders.__module__ == "garside.summit"
+    for module in (garside.cycling, garside.transport):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        constants = {node.value for node in nodes if isinstance(node, ast.Constant)}
+        # names read, attributes, imported aliases and definitions
+        names = {getattr(node, field, None) for node in nodes for field in ("id", "attr", "name")}
+        assert not constants & {"super", "ultra", "star"}, module.__name__
+        assert "recurrence_orders" not in names, module.__name__
+
+
 def test_no_private_imports_across_modules():
     assert SOURCES
     found = set()

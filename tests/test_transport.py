@@ -13,11 +13,10 @@ from garside.cycling import (
     NotRecurrentError,
     cstar_representative,
     in_recurrence_set,
-    recurrence_orders,
     recurrent_representative,
     trajectory,
 )
-from garside.summit import c_star, ultra_summit_set
+from garside.summit import c_star, recurrence_orders, ultra_summit_set
 from garside.transport import (
     OrbitTransport,
     TransportContext,
@@ -349,10 +348,12 @@ def test_shared_orbit_transports_match_fresh(rng):
         x = cstar_representative(random_element(rng, n, max_len=3)).element
         if x.clen == 0:
             continue
-        for kind in ("ultra", "star"):
+        for kind in ("super", "ultra", "star"):
             orders = recurrence_orders(kind, x)
-            # the seed step relies on ascending orders without repeats
+            # the seed step relies on ascending orders without repeats, and
+            # the trajectory closure reads its bounds off the two ends
             assert all(a < b for a, b in zip(orders, orders[1:])), (x, kind, orders)
+            assert orders[0] == x.inf and orders[-1] == x.sup, (x, kind, orders)
             shared = [OrbitTransport(x, q) for q in orders]
             for atom in st.atoms:
                 u = simple_element(st, atom)
@@ -368,7 +369,7 @@ def test_seed_trajectories_on_delta_powers():
     st = braid_structure(3)
     for k in (0, 1, -2):
         x = delta_power(st, k)
-        seeds = transport._seed_trajectories(x, "star")
+        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
         assert seeds
         for v, z in seeds:
             assert x.conj(v) == x
@@ -381,7 +382,7 @@ def test_seed_trajectories_cardinality_and_coverage(rng):
         n = rng.choice([3, 4])
         st = braid_structure(n)
         x = cstar_representative(random_element(rng, n, max_len=3)).element
-        seeds = transport._seed_trajectories(x, "star")
+        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
         assert len(seeds) <= len(st.atoms)
         for v, z in seeds:
             traj = trajectory(z)
@@ -398,7 +399,7 @@ def test_seed_trajectories_exclusion_is_safe(rng):
         x = cstar_representative(random_element(rng, n, max_len=3)).element
         if x.clen == 0:
             continue
-        seeds = transport._seed_trajectories(x, "star")
+        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
         keys_with_rule = {trajectory(z).key_element for _, z in seeds}
         transports = star_transports(x)
 
@@ -536,7 +537,8 @@ def test_pair_sweep_matches_the_element_oracle(case):
             u = simple_element(st, atom, m)
             expected = minimal_conjugator_by_elements(orbits, u)
             assert minimal_recurrent_conjugator(transports, u, probe) == expected, (x, kind, u)
-    assert transport._seed_trajectories(x, kind) == seed_trajectories_by_elements(x, kind)
+    seeds = transport._seed_trajectories(x, recurrence_orders(kind, x))
+    assert seeds == seed_trajectories_by_elements(x, kind)
 
 
 def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
@@ -590,4 +592,4 @@ def test_orbit_walk_from_a_start_that_is_not_recurrent():
     # and a seed step from an element off its closed orbits still raises
     x = parse_word("2 1 1", 3)
     with pytest.raises(NotRecurrentError):
-        transport._seed_trajectories(x, "star")
+        transport._seed_trajectories(x, recurrence_orders("star", x))
