@@ -144,7 +144,19 @@ def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
 
 
 class _Budget:
+    """
+    The limits of one summit computation: a wall-clock budget in ms and a
+    size bound, each None for no limit and 0 for an abort at the first
+    check.  A NaN or negative budget and a negative size raise ValueError,
+    since a NaN deadline would never fire and a negative limit would abort
+    before any work.
+    """
+
     def __init__(self, kind: str, budget_ms: float | None, max_size: int | None):
+        if budget_ms is not None and not budget_ms >= 0:
+            raise ValueError(f"budget_ms must be a number >= 0, got {budget_ms!r}")
+        if max_size is not None and max_size < 0:
+            raise ValueError(f"max_size must be >= 0, got {max_size!r}")
         self.kind = kind
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.max_size = max_size
@@ -225,7 +237,12 @@ def summit_set(
     budget_ms: float | None = None,
     max_size: int | None = None,
 ) -> SummitSet:
-    """The summit set of the given kind: "super", "ultra" or "star"."""
+    """
+    The summit set of the given kind: "super", "ultra" or "star".  budget_ms
+    bounds its wall-clock time and max_size its member count, and running
+    past either raises BudgetExceeded; a NaN or negative limit raises
+    ValueError before any work.
+    """
     recurrence_orders(kind, x)  # rejects an unknown kind before any work
     budget = _Budget(kind, budget_ms, max_size)
     rep = cstar_representative(x)

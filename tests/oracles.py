@@ -92,7 +92,11 @@ def general_join_many(*xs: CanonicalElement) -> CanonicalElement:
 
 
 def divides(a: CanonicalElement, b: CanonicalElement) -> bool:
-    return (a.inv() * b).inf >= 0
+    """
+    Whether a left-divides b, as a /\\ b = a by general_meet's first-factor
+    peeling; CanonicalElement.divides reads the inf of a^{-1} b instead.
+    """
+    return general_meet(a, b) == a
 
 
 def phi_definitional(x: CanonicalElement, q: int, u: CanonicalElement) -> CanonicalElement:

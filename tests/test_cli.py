@@ -157,6 +157,16 @@ def test_budget_exit_code():
     assert "aborted" in r.stderr
 
 
+@pytest.mark.parametrize("limit", [["--budget-ms", "nan"], ["--budget-ms", "-5"], ["--max-size", "-1"]])
+def test_invalid_limits_are_input_errors(limit):
+    # a NaN budget used to run with no clock (exit 0) and a negative limit
+    # to abort at once (exit 3); both are input errors
+    for argv in (["summit", "--kind", "ultra", "--n", "3", "1 1"], ["conj", "--n", "3", "1 1", "2 2"]):
+        r = run_cli(*argv, *limit)
+        assert r.returncode == 2, (argv, limit, r.stderr)
+        assert "error" in r.stderr and ("budget_ms" in r.stderr or "max_size" in r.stderr)
+
+
 @pytest.mark.parametrize("argv", [
     ["nf", "--n", "3", "1"],
     ["cyc", "--n", "3", "1 1"],

@@ -350,9 +350,9 @@ def _divides_pairs(st, powers, simples, word1, word2):
 @example((BraidStructure(4), [1, 1, -1], [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 2, 1, 0)],
           [(1, 0, 2, 3), (0, 2, 1, 3)], [(2, 1, 0, 3), (0, 1, 3, 2), (1, 0, 2, 3)]))
 def test_divides_matches_the_group_oracle(case):
-    # the transport sweep's one-meet rule on (power, simple) pairs against
-    # "a^{-1} b is positive" in full group arithmetic, which divides computes
-    # on every pair
+    # divides, and the transport sweep's one-meet rule on (power, simple)
+    # pairs, against a /\ b = a by first-factor peeling, an oracle that
+    # shares no formula with either
     st, *ingredients = case
     for a, b in _divides_pairs(st, *ingredients):
         expected = oracles.divides(a, b)

@@ -297,6 +297,19 @@ def test_budget_and_size_guards():
         assert e.size > 0
 
 
+@pytest.mark.parametrize("limits", [{"budget_ms": float("nan")}, {"budget_ms": -1.0}, {"max_size": -1}])
+def test_limits_that_could_never_or_always_fire_are_rejected(limits):
+    # a NaN deadline never compares, so it would run with no clock, and a
+    # negative limit would abort before any work (0 aborts at once, as
+    # test_budget_and_size_guards checks)
+    x = parse_word("1 1", 3)
+    for fn in (c_star, ultra_summit_set, super_summit_set):
+        with pytest.raises(ValueError, match="budget_ms|max_size"):
+            fn(x, **limits)
+    with pytest.raises(ValueError, match="budget_ms|max_size"):
+        decide_conjugacy(x, parse_word("2 2", 3), **limits)
+
+
 def test_budget_exceeded_pickles_and_copies():
     # so a budget abort can cross a process boundary, as from a pool worker
     exc = BudgetExceeded("ultra", 12.5, 7)
