@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigid", parents=[common, limits], help="rigidity test")
     p.add_argument("--conjugates", action="store_true",
-                   help="also list the rigid conjugates (rigid input only)")
+                   help="also list the rigid conjugates (rigid input only), filtered "
+                        "from C*, which --budget-ms and --max-size bound")
     p.add_argument("word")
     p.set_defaults(fn=cmd_rigid)
 

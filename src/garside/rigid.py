@@ -8,17 +8,17 @@ with itself.  Cycling acts on a rigid element by cyclically permuting its
 factors (up to tau), so rigid elements are recurrent under every
 double-order cycling, and the cycling layer answers their recurrence
 without walking an orbit.  For rigid x the set of conjugates recurrent at
-every double order is exactly the set of rigid conjugates, obtained by
-filtering the super summit set with the order-(2, inf+sup) recurrence
-test, which holds at once for its rigid members.
+every double order is exactly the set of rigid conjugates.  A rigid
+element is recurrent at every order, so each of them lies in C*(x), and
+the set is C*(x) filtered by is_rigid.
 
 Whether some power of x is conjugate to a rigid element is decided through
 the stable exponents N1, N2: denominators of the extremal normalized summit
 bounds max_n infs(x^n)/n and min_n sups(x^n)/n over n up to the atom count
-of D.  For N = lcm(N1, N2), drive x^N to its summit and then to
-order-(2, infs+sups) recurrence; some power of x is conjugate to a rigid
-element exactly when the element reached is rigid, and then N is below the
-square of the atom count of D.
+of D.  For N = lcm(N1, N2), drive x^N to its refined summit set and, at
+canonical length 1, on to order-(2, infs+sups) recurrence; some power of x
+is conjugate to a rigid element exactly when the element reached is rigid,
+and then N is below the square of the atom count of D.
 
 Exact rational arithmetic throughout; no floating point.
 """
@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import lcm
 
 from .core import CanonicalElement
-from .cycling import cstar_representative, in_recurrence_set, is_rigid, recurrent_representative
-from .summit import SummitSet, summit_bounds, super_summit_set
+from .cycling import cstar_representative, is_rigid, recurrent_representative
+from .summit import SummitSet, c_star, summit_bounds
 
 
 def stable_exponents(x: CanonicalElement) -> tuple[int, int]:
@@ -71,36 +71,48 @@ class RigidReport:
 def rigid_power(x: CanonicalElement) -> RigidReport:
     """
     Detect whether some power of x is conjugate to a rigid element, and if
-    so exhibit one: take N = lcm of the stable exponents, move x^N to the
-    summit, then iterate the order-(2, infs+sups) cycling to recurrence and
-    test the element reached for rigidity.  A summit element that is rigid
-    already is recurrent there, so the walk would return it with the
-    identity as witness and is skipped.
+    so exhibit one: take N = lcm of the stable exponents, move x^N to its
+    refined summit set, then iterate the order-(2, infs+sups) cycling to
+    recurrence and test the element reached for rigidity.  The walk runs
+    at canonical length 1 only:
+    - a representative that is rigid already is recurrent there, so the
+      walk would return it with the identity as witness;
+    - a representative y of canonical length >= 2 that is not rigid has
+      no rigid conjugate for the walk to reach.  A rigid conjugate is
+      recurrent at every order (see is_rigid), so it lies in C*(x^N) with
+      y and has the canonical length of y; the ultra summit set, which
+      holds y, would then be the set of rigid conjugates (Birman, Gebhardt
+      and Gonzalez-Meneses, "Conjugacy in Garside groups I: cyclings,
+      powers and rigidity", 2007).
     """
     n1, n2 = stable_exponents(x)
     n = lcm(n1, n2)
     xn = x ** n
     rep = cstar_representative(xn)
     y, wit = rep.element, rep.witness
-    if not is_rigid(y):
+    if y.clen == 1 and not is_rigid(y):
         rec = recurrent_representative(y, y.inf + y.sup, p=2)
         y = rec.recurrent_element
         wit = wit * rec.witness
-        if not is_rigid(y):
-            return RigidReport(False, (n1, n2))
+    if not is_rigid(y):
+        return RigidReport(False, (n1, n2))
     return RigidReport(True, (n1, n2), power=n, rigid_conjugate=y, witness=wit)
 
 
 def c_star_star_rigid(x: CanonicalElement, **limits) -> SummitSet:
     """
-    For rigid x, the conjugates recurrent at every double order: the super
-    summit set filtered by order-(2, inf+sup) recurrence.  Every member is
-    rigid.  The limits are summit_set's and bound the super summit set.
+    For rigid x, the conjugates recurrent at every double order, which are
+    its rigid conjugates: C*(x) filtered by is_rigid.  A rigid element is
+    recurrent at every order (see is_rigid), so every rigid conjugate lies
+    in C*(x); at canonical length 1, C*(x) can hold members that are not
+    rigid, which the filter drops.  The limits are summit_set's and bound
+    C*(x).  trajectories is None, since C*'s would hold the dropped members.
     """
     if not is_rigid(x):
         raise ValueError("input element is not rigid")
-    ss = super_summit_set(x, **limits)
-    qbar = x.inf + x.sup
-    members = tuple(y for y in ss.members if in_recurrence_set(y, qbar, p=2))
-    witnesses = {y: ss.witnesses[y] for y in members}
-    return dataclasses.replace(ss, kind="star_star", members=members, witnesses=witnesses)
+    cs = c_star(x, **limits)
+    members = tuple(y for y in cs.members if is_rigid(y))
+    witnesses = {y: cs.witnesses[y] for y in members}
+    return dataclasses.replace(
+        cs, kind="star_star", members=members, witnesses=witnesses, trajectories=None
+    )

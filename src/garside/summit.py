@@ -19,7 +19,9 @@ specializes to the classical algorithms for those sets.  The kinds are
 named here only: recurrence_orders turns a kind into its ascending list of
 orders, read once per closure off the representative, whose bounds every
 member shares, and the trajectory closure and the seed step below it take
-that list.
+that list.  A class whose representative is rigid has one refined and
+ultra summit set, so its refined closure runs on the ultra orders (see
+_summit_closure).
 
 Budget guards (wall clock and set size) let callers abort computations that
 explode, which reducible braids routinely make the ultra summit set do.
@@ -143,13 +145,16 @@ def recurrence_orders(kind: str, y: CanonicalElement) -> list[int]:
     raise ValueError(f"unknown summit kind {kind!r}")
 
 
+_clock = time.monotonic
+
+
 class _Budget:
     """
-    The limits of one summit computation: a wall-clock budget in ms and a
-    size bound, each None for no limit and 0 for an abort at the first
-    check.  A NaN or negative budget and a negative size raise ValueError,
-    since a NaN deadline would never fire and a negative limit would abort
-    before any work.
+    The limits of one summit computation: a wall-clock budget in ms, read
+    off the module clock _clock, and a size bound, each None for no limit
+    and 0 for an abort at the first check.  A NaN or negative budget and a
+    negative size raise ValueError, since a NaN deadline would never fire
+    and a negative limit would abort before any work.
     """
 
     def __init__(self, kind: str, budget_ms: float | None, max_size: int | None):
@@ -158,17 +163,17 @@ class _Budget:
         if max_size is not None and max_size < 0:
             raise ValueError(f"max_size must be >= 0, got {max_size!r}")
         self.kind = kind
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+        self.start = _clock()
+        self.deadline = None if budget_ms is None else self.start + budget_ms / 1000.0
         self.max_size = max_size
-        self.start = time.monotonic()
         self.size = 0
 
     def count(self, extra: int = 0) -> None:
         self.size += extra
-        if self.max_size is not None and self.size > self.max_size:
-            raise BudgetExceeded(self.kind, (time.monotonic() - self.start) * 1000.0, self.size)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(self.kind, (time.monotonic() - self.start) * 1000.0, self.size)
+        if (self.max_size is not None and self.size > self.max_size) or (
+            self.deadline is not None and _clock() > self.deadline
+        ):
+            raise BudgetExceeded(self.kind, (_clock() - self.start) * 1000.0, self.size)
 
 
 def _summit_closure(
@@ -178,11 +183,31 @@ def _summit_closure(
     rep: WitnessedElement,
     target: CanonicalElement | None = None,
 ) -> SummitSet:
-    # rep is x's refined-summit representative, which the caller computes
-    # under the budget it started, so the representative counts too; every
-    # member shares its bounds, so its orders are every trajectory's
+    """
+    The summit set of the given kind of x, closed from rep, the
+    refined-summit representative y0 of x, which the caller computes under
+    the budget it started, so the representative counts too.  Every member
+    shares the bounds of y0, so the orders read off it are every
+    trajectory's.  With a target, the closure stops once it reaches it.
+
+    The star closure of a rigid y0 runs on the ultra orders.  If x is
+    conjugate to a rigid element of canonical length >= 2, its ultra
+    summit set is exactly the set of its rigid conjugates (Birman, Gebhardt
+    and Gonzalez-Meneses, "Conjugacy in Garside groups I: cyclings, powers
+    and rigidity", 2007).  A rigid element is recurrent at every order (see
+    is_rigid), so the rigid conjugates, C*(x) and the ultra summit set are
+    one set, and the ultra closure computes it.  Its trajectories are the
+    star kind's too: every member is rigid, and on a rigid element the
+    order-(inf + k) step is a twisted rotation by k factors (see is_rigid),
+    the order-(inf + 1) step taken k times followed by a power of tau, so
+    tau and the order-(inf + 1) step close the same sets as every interior
+    order.  At canonical length 1 or 2 the two lists of orders are equal
+    already, [inf, sup] or [inf, inf + 1, sup], so the rule changes the
+    list only at canonical length >= 3, inside the theorem's range, and
+    needs no length test of its own.
+    """
     y0, w0 = rep.element, rep.witness
-    orders = recurrence_orders(kind, y0)
+    orders = recurrence_orders("ultra" if kind == "star" and is_rigid(y0) else kind, y0)
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     # only the star kind returns its trajectories, so only it keeps them

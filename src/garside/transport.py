@@ -39,13 +39,6 @@ transports at the interior orders from the closed orbits that closure
 walked (cycling._closure_trajectory), and takes no cycling step at the
 boundary orders, where the orbit has a closed form: the tau^q-orbit of x
 for q <= inf x and the fixed point x for q >= sup x.
-
-Key elements are often rigid, and a rigid element is recurrent at every
-order (cycling.is_rigid).  So the seed step of a rigid key element
-minimises each atom over three orders first, the two lowest and the
-highest, and keeps the result when it conjugates x to a rigid element,
-which makes every other interior order add nothing; only otherwise does it
-sweep every order, from there (see _seed_trajectories).
 """
 
 from __future__ import annotations
@@ -58,7 +51,7 @@ from .core import (
     Simple,
     simple_element,
 )
-from .cycling import NotRecurrentError, is_rigid, recurrent_representative
+from .cycling import NotRecurrentError, recurrent_representative
 
 
 def _phi_simple(
@@ -344,33 +337,10 @@ def _seed_trajectories(
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it; the surviving
     atoms' trajectories cover the dropped ones.
-
-    A rigid x with more than three orders first minimises each atom over
-    the three transports at orders[0], orders[1] and orders[-1] only,
-    keeps that v_S when x^{v_S} is rigid, and otherwise continues the
-    sweep over every transport from v_S.  This returns the same v, in the
-    same order, as the sweep over every transport, whose minimum is v:
-    - the short sweep returns v: every conjugator making x recurrent at
-      every order does so at the three, so v_S divides v; if x^{v_S} is
-      rigid, it is recurrent at every order (see is_rigid), so v_S is
-      one of the conjugators the full minimum ranges over, and v divides
-      v_S;
-    - the fallback is exact: v_S divides v, so the minimum over every
-      order above v_S is the minimum above the atom, v;
-    - exclusion stays sound: the transports are monotone, so every pull
-      iterate divides v, and every push iterate divides a transport of
-      v, which conjugates x into the order-(inf + 1) orbit of x^v; that
-      orbit lies inside the trajectory of x^v, so the covering argument
-      for the full sweep's iterates holds for these too.
-    The rule reads positions in orders, not a summit kind; a list of three
-    orders or fewer runs the full sweep at once.
     """
     s = x.struct
     orbits = orbits or {}
     transports = [OrbitTransport(x, q, orbits.get(q)) for q in orders]
-    short = transports
-    if len(transports) > 3 and is_rigid(x):
-        short = [transports[0], transports[1], transports[-1]]
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, CanonicalElement]] = []
@@ -390,13 +360,9 @@ def _seed_trajectories(
                     raise _Excluded
 
         try:
-            v = minimal_recurrent_conjugator(short, simple_element(s, atom), probe)
-            z = x.conj(v)
-            if short is not transports and not is_rigid(z):
-                v = minimal_recurrent_conjugator(transports, v, probe)
-                z = x.conj(v)
+            v = minimal_recurrent_conjugator(transports, simple_element(s, atom), probe)
         except _Excluded:
             live.discard(idx)
             continue
-        out.append((v, z))
+        out.append((v, x.conj(v)))
     return out

@@ -23,9 +23,12 @@ def random_element(rng, n, max_len=4, min_len=0, min_power=-2, max_power=2):
     return normalize(st, rng.randint(min_power, max_power), word)
 
 
-def random_rigid_element(rng, n, max_len=3, min_power=-2, max_power=2):
-    """A rigid element of B_n, n >= 3, drawn from random_element until one is."""
+def random_rigid_element(rng, n, max_len=3, min_power=-2, max_power=2, min_clen=1):
+    """
+    A rigid element of B_n, n >= 3, of canonical length >= min_clen, drawn
+    from random_element until one is.
+    """
     while True:
         x = random_element(rng, n, max_len=max_len, min_len=1, min_power=min_power, max_power=max_power)
-        if is_rigid_by_squaring(x):
+        if x.clen >= min_clen and is_rigid_by_squaring(x):
             return x

@@ -12,6 +12,7 @@ straightforward; used at small strand counts.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from garside.braid import BraidStructure
 from garside.core import (
@@ -404,6 +405,29 @@ def in_recurrence_set_by_walking(x: CanonicalElement, q: int, p: int) -> bool:
     from garside import cycling
 
     return cycling.recurrent_representative(x, q, p=p).entry_index == 0
+
+
+def rigid_power_by_walking(x: CanonicalElement):
+    """
+    rigid_power's report with the order-(2, inf + sup) walk taken from
+    every refined-summit representative that is not rigid, whatever its
+    canonical length, and rigidity tested by squaring: the reference for
+    rigid_power, which walks at canonical length 1 only.  The exponents
+    are rigid.stable_exponents', which has its own reference.
+    """
+    from garside import cycling
+    from garside.rigid import RigidReport, stable_exponents
+
+    n1, n2 = stable_exponents(x)
+    n = lcm(n1, n2)
+    rep = cycling.cstar_representative(x ** n)
+    y, wit = rep.element, rep.witness
+    if not is_rigid_by_squaring(y):
+        rec = cycling.recurrent_representative(y, y.inf + y.sup, p=2)
+        y, wit = rec.recurrent_element, wit * rec.witness
+    if not is_rigid_by_squaring(y):
+        return RigidReport(False, (n1, n2))
+    return RigidReport(True, (n1, n2), power=n, rigid_conjugate=y, witness=wit)
 
 
 def cstar_summit_bounds(x: CanonicalElement) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Rigidity, stable exponents, rigid powers and the rigid summit set."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_expon
 from garside.summit import c_star, summit_bounds
 
 from conftest import random_element, random_rigid_element
-from oracles import cstar_summit_bounds, is_rigid_by_squaring, nontrivial_simples
+from oracles import cstar_summit_bounds, is_rigid_by_squaring, nontrivial_simples, rigid_power_by_walking
 
 
 def random_rigid(rng, max_n=4, max_len=3):
@@ -209,6 +210,32 @@ def test_c_star_star_rigid_against_exhaustive(rng):
         assert frozenset(c_star_star_rigid(x).members) == rigid_conjugates
 
 
+def test_c_star_star_rigid_drops_the_members_that_are_not_rigid():
+    # at canonical length 1, C*(x) of a rigid x can hold members that are
+    # not rigid: here two of its four, which the rigid summit set drops
+    x = parse_word("3 4 2 3 1", 5)
+    assert is_rigid(x) and x.clen == 1
+    assert len(c_star(x)) == 4
+    css = c_star_star_rigid(x)
+    assert css.members == (x, parse_word("2 3 4 1 2", 5))
+    assert css.trajectories is None
+    assert css.verify_witnesses()
+
+
 def test_c_star_star_rigid_rejects_non_rigid():
     with pytest.raises(ValueError):
         c_star_star_rigid(parse_word("1 2", 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.integers(3, 7), hs.integers(1, 3))
+def test_rigid_power_matches_the_walk_at_every_length(seed, n, max_len):
+    # rigid_power walks only from a representative of canonical length 1;
+    # the oracle walks from every representative that is not rigid.  A
+    # seeded generator, since a simple of B_7 takes many draws
+    x = random_element(random.Random(seed), n, max_len=max_len, min_len=1, min_power=-1, max_power=1)
+    report = rigid_power(x)
+    assert report == rigid_power_by_walking(x), x
+    if report.is_rigid:
+        assert (x ** report.power).conj(report.witness) == report.rigid_conjugate
+        assert is_rigid_by_squaring(report.rigid_conjugate)

@@ -5,7 +5,6 @@ import hashlib
 import pickle
 import random
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,7 @@ from garside.summit import (
     ultra_summit_set,
 )
 
-from conftest import random_element
+from conftest import random_element, random_rigid_element
 from oracles import conjugation_components, cstar_summit_bounds, summit_members_exhaustive
 
 
@@ -236,7 +235,7 @@ def test_witnesses_are_pinned():
         ans = decide_conjugacy(x, x.conj(w))
         h.update(repr((ans.witness.power, ans.witness.factors)).encode())
     assert pairs == 2928
-    assert h.hexdigest()[:16] == "7dae2a1244fd652c"
+    assert h.hexdigest()[:16] == "2b79e963e2955074"
 
 
 def test_super_ultra_have_flat_member_sets(rng):
@@ -320,25 +319,50 @@ def test_budget_exceeded_pickles_and_copies():
         assert (c.kind, c.elapsed_ms, c.size, str(c)) == ("ultra", 12.5, 7, str(exc))
 
 
-def test_budget_clock_covers_the_representative(monkeypatch):
-    # the clock starts before the refined-summit representative is computed,
-    # so the reported time is the whole call's, representative included
-    rng = random.Random(1)
-    x = normalize(braid_structure(40), 0, [random_simple(rng, 40) for _ in range(40)])
+class FakeClock:
+    """A clock for summit._clock that moves only when told to, in seconds."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def ticking_representatives(monkeypatch, step_ms):
+    """
+    Patch the budget clock with a fake one and the representative with one
+    that advances it by step_ms per call; returns the clock and the list of
+    steps taken, in ms.  Steps that are binary fractions of a second keep
+    the clock's sums exact.
+    """
+    clock = FakeClock()
     phases = []
 
-    def timed_representative(y):
-        t0 = time.monotonic()
-        out = cstar_representative(y)
-        phases.append(time.monotonic() - t0)
+    def ticking_representative(z):
+        out = cstar_representative(z)
+        clock.now += step_ms / 1000.0
+        phases.append(step_ms)
         return out
 
-    monkeypatch.setattr(summit, "cstar_representative", timed_representative)
-    t0 = time.monotonic()
+    monkeypatch.setattr(summit, "_clock", clock)
+    monkeypatch.setattr(summit, "cstar_representative", ticking_representative)
+    return clock, phases
+
+
+def test_budget_clock_covers_the_representative(monkeypatch):
+    # the clock starts before the refined-summit representative is computed,
+    # so the reported time is the whole call's, representative included;
+    # the fake clock moves 1000 ms in the representative, so the budget
+    # fires at the check right after it
+    rng = random.Random(1)
+    x = normalize(braid_structure(40), 0, [random_simple(rng, 40) for _ in range(40)])
+    clock, phases = ticking_representatives(monkeypatch, 1000.0)
+    t0 = clock()
     with pytest.raises(BudgetExceeded) as info:
         c_star(x, budget_ms=50)
-    total_ms = (time.monotonic() - t0) * 1000.0
-    (rep_ms,) = [1000.0 * t for t in phases]
+    total_ms = (clock() - t0) * 1000.0
+    (rep_ms,) = phases
     assert info.value.elapsed_ms >= rep_ms
     # a clock started after the representative would miss all of rep_ms
     assert info.value.elapsed_ms > total_ms - rep_ms / 2
@@ -347,25 +371,19 @@ def test_budget_clock_covers_the_representative(monkeypatch):
 def test_decide_budget_clock_covers_both_representatives(monkeypatch):
     # decide_conjugacy starts its clock on entry, so the representatives of
     # x and y count towards the reported time, and the budget is checked
-    # after each of them
+    # after each of them; the fake clock moves 31.25 ms in each, so the
+    # 50 ms budget fires at the check right after the second
     rng = random.Random(1)
     st = braid_structure(40)
     x = normalize(st, 0, [random_simple(rng, 40) for _ in range(40)])
     y = x.conj(normalize(st, 0, [random_simple(rng, 40) for _ in range(3)]))
-    phases = []
-
-    def timed_representative(z):
-        t0 = time.monotonic()
-        out = cstar_representative(z)
-        phases.append(time.monotonic() - t0)
-        return out
-
-    monkeypatch.setattr(summit, "cstar_representative", timed_representative)
-    t0 = time.monotonic()
+    clock, phases = ticking_representatives(monkeypatch, 31.25)
+    t0 = clock()
     with pytest.raises(BudgetExceeded) as info:
         decide_conjugacy(x, y, budget_ms=50)
-    total_ms = (time.monotonic() - t0) * 1000.0
-    rep_ms = 1000.0 * sum(phases)
+    total_ms = (clock() - t0) * 1000.0
+    assert len(phases) == 2
+    rep_ms = sum(phases)
     assert info.value.elapsed_ms >= rep_ms
     # a clock started after the representatives would miss all of rep_ms
     assert info.value.elapsed_ms > total_ms - rep_ms / 2
@@ -528,3 +546,55 @@ def test_decide_conjugacy_matches_the_full_closure(pair):
         assert x.conj(ans.witness) == y
     else:
         assert ans.witness is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.integers(3, 9))
+def test_rigid_classes_have_one_summit_set(seed, n):
+    # conjugate to a rigid element of canonical length >= 2, x has C*(x)
+    # equal to its ultra summit set, every member rigid; the closure runs
+    # on the ultra orders, and each trajectory must still be the closure
+    # under every interior order.  A seeded generator, since drawing until
+    # an element is rigid takes many draws
+    x = random_rigid_element(random.Random(seed), n, max_len=5, min_clen=2)
+    cs = c_star(x)
+    assert cs.members == ultra_summit_set(x).members, x
+    assert all(is_rigid(m) for m in cs.members), x
+    for t in cs.trajectories:
+        assert set(t.members) == set(trajectory(t.key_element).members), x
+    assert cs.verify_witnesses()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.integers(3, 7))
+def test_star_trajectories_are_the_all_orders_closures(seed, n):
+    # the other side of the rigid rule, on any class: one whose
+    # representative is not rigid closes on every order, and fewer orders
+    # would close smaller trajectories
+    x = random_element(random.Random(seed), n, max_len=4, min_len=3)
+    for t in c_star(x).trajectories:
+        assert set(t.members) == set(trajectory(t.key_element).members), x
+
+
+def test_only_rigid_star_closures_run_on_the_ultra_orders(rng, monkeypatch):
+    # the order lists each trajectory closure of C* is given: the ultra
+    # orders for a rigid representative of canonical length >= 3, and
+    # every order otherwise
+    seen = []
+
+    def recording(z, orders, conj):
+        seen.append(list(orders))
+        return cycling._closure_trajectory(z, orders, conj)
+
+    monkeypatch.setattr(summit, "_closure_trajectory", recording)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        x = random_rigid_element(rng, n, max_len=5, min_clen=3) if rng.random() < 0.5 else random_element(rng, n, max_len=4)
+        y0 = cstar_representative(x).element
+        seen.clear()
+        c_star(x)
+        kind = "ultra" if is_rigid(y0) else "star"
+        kinds.add((kind, y0.clen >= 3))
+        assert seen and all(orders == summit.recurrence_orders(kind, y0) for orders in seen), x
+    assert kinds >= {("ultra", True), ("star", True)}

@@ -543,64 +543,20 @@ def test_pair_sweep_matches_the_element_oracle(case):
     assert seeds == seed_trajectories_by_elements(x, kind)
 
 
-def rigid_key_element(rng, n):
-    """The key element of the trajectory of a random rigid element of B_n of canonical length >= 3."""
-    while True:
-        x = random_rigid_element(rng, n, max_len=5)
-        if x.clen >= 3:
-            return trajectory(x).key_element
-
-
-def seed_inputs(y):
-    """The refined-summit orders of y and the closed orbits its trajectory's closure walked."""
-    orders = recurrence_orders("star", y)
-    _, orbits = cycling._closure_trajectory(y, orders, identity_element(y.struct))
-    return orders, orbits
-
-
 @settings(max_examples=60, deadline=None)
 @given(hs.integers(0, 2**32 - 1), hs.integers(3, 9))
-def test_rigid_short_sweep_matches_the_element_oracle(seed, n):
-    # a rigid key element with more than three orders minimises each atom
-    # over three of them first; the (v, x^v) list, order included, must be
-    # the full sweep's on elements.  A seeded generator, since drawing
-    # until an element is rigid takes many draws
-    y = rigid_key_element(random.Random(seed), n)
-    orders, orbits = seed_inputs(y)
-    assert is_rigid(y) and len(orders) > 3
+def test_rigid_seed_on_the_ultra_orders_matches_the_all_orders_oracle(seed, n):
+    # the refined summit closure of a rigid element of canonical length
+    # >= 3 seeds on the ultra orders, three of its more than three; the
+    # (v, x^v) list, order included, must be the all-orders sweep's on
+    # elements.  A seeded generator, since drawing until an element is
+    # rigid takes many draws
+    y = trajectory(random_rigid_element(random.Random(seed), n, max_len=5, min_clen=3)).key_element
+    orders = recurrence_orders("ultra", y)
+    assert is_rigid(y) and len(orders) < len(recurrence_orders("star", y))
+    _, orbits = cycling._closure_trajectory(y, orders, identity_element(y.struct))
     seeds = transport._seed_trajectories(y, orders, orbits)
     assert seeds == seed_trajectories_by_elements(y, "star"), y
-
-
-def test_rigid_short_sweep_falls_back_to_every_order(rng, monkeypatch):
-    # random inputs never reach the fallback, so make every conjugate but
-    # the key element look non-rigid: each surviving atom then continues
-    # over every order from its short-sweep minimum, and the list must not
-    # change
-    original = transport.minimal_recurrent_conjugator
-    sweeps = []
-
-    def spy(transports, u, probe=None):
-        sweeps.append(len(transports))
-        return original(transports, u, probe)
-
-    monkeypatch.setattr(transport, "minimal_recurrent_conjugator", spy)
-    fallbacks = 0
-    for _ in range(12):
-        y = rigid_key_element(rng, rng.randint(3, 7))
-        orders, orbits = seed_inputs(y)
-        sweeps.clear()
-        expected = transport._seed_trajectories(y, orders, orbits)
-        assert set(sweeps) == {3}, (y, sweeps)
-        sweeps.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(transport, "is_rigid", lambda z, y=y: z == y)
-            assert transport._seed_trajectories(y, orders, orbits) == expected, y
-        # a full sweep follows every surviving short one that moved y
-        moved = sum(z != y for _, z in expected)
-        assert sweeps.count(len(orders)) == moved, (y, sweeps)
-        fallbacks += moved
-    assert fallbacks >= 12
 
 
 def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
