@@ -26,10 +26,12 @@ orbit transports without cycling again.
 A rigid element, one whose normal form survives squaring, lies on a closed
 orbit of every cycling of every double order (is_rigid proves it), and
 rigidity is read off the one factor pair at the junction of x with itself.
-So every caller that only asks whether an element is recurrent answers a
-rigid one without walking: in_recurrence_set, and the order sweep, which
-stops as soon as the element it holds is rigid.  recurrent_representative
-still walks, because transports need the orbit's elements.
+recurrent_representative is the one place that uses this: its walk ends
+at the first rigid element it meets, with the witness the whole walk
+would give.  So every caller that asks for a recurrent element, the order
+sweep, in_recurrence_set and the summit bounds among them, stops at a
+rigid element without a rule of its own.  The whole closed orbit, which
+transports need, is closed_orbit with the cycling step.
 
 Everything here is pure and operates on immutable values.
 """
@@ -128,10 +130,11 @@ def is_rigid(x: CanonicalElement) -> bool:
 @dataclasses.dataclass(frozen=True, eq=False)
 class OrbitRecord:
     """
-    The forward orbit of an element under one cycling step, up to the first
-    revisit.  elements[i+1] = elements[i] conjugated by conjugators[i]; the
-    step after the last element returns to elements[entry_index], so the
-    tail from entry_index onwards is the closed orbit.
+    The forward orbit of an element under one conjugating step, up to the
+    first revisit.  elements[i+1] = elements[i] conjugated by
+    conjugators[i]; the step after the last element returns to
+    elements[entry_index], so the tail from entry_index onwards is the
+    closed orbit of that step.
     """
 
     elements: tuple[CanonicalElement, ...]
@@ -170,19 +173,31 @@ def closed_orbit(x: CanonicalElement, step: Step) -> OrbitRecord:
 
 def recurrent_representative(x: CanonicalElement, q: int, *, p: int = 1) -> OrbitRecord:
     """
-    Orbit of x under the (p, q) cycling, which at p = 1 is the order-q
-    cycling; its tail is the closed orbit, which at p = 1 lies in G_q.
+    Walk of x under the (p, q) cycling, which at p = 1 is the order-q
+    cycling, towards its closed orbit, which at p = 1 lies in G_q.  The
+    record's recurrent element and witness are those of the walk to the
+    first revisit, and its elements are a prefix of that walk: the walk
+    treats a rigid element as a fixed point with the identity as
+    conjugator, so a rigid element ends the record as a tail of one
+    element.  This changes neither the recurrent element nor the
+    witness: a rigid element lies on a closed orbit of the
+    (p, q) cycling and every element of that orbit is rigid (see is_rigid,
+    for every p), while an element before the walk enters its closed orbit
+    is not recurrent, so not rigid.  The first rigid element met is
+    therefore the one where the walk enters its closed orbit.  The whole
+    closed orbit is closed_orbit(x, lambda y: cyc_pq(y, p, q)).
     """
-    return closed_orbit(x, lambda y: cyc_pq(y, p, q))
+    ident = identity_element(x.struct)
+    return closed_orbit(x, lambda y: (y, ident) if is_rigid(y) else cyc_pq(y, p, q))
 
 
 def in_recurrence_set(x: CanonicalElement, q: int, *, p: int = 1) -> bool:
     """
     Whether x lies on a closed orbit of the (p, q) cycling; at p = 1, of
     the order-q cycling, i.e. whether x is in G_q.  A rigid x is, at every
-    (p, q), without a walk.
+    (p, q), and its walk is one element long.
     """
-    return is_rigid(x) or recurrent_representative(x, q, p=p).entry_index == 0
+    return recurrent_representative(x, q, p=p).entry_index == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,14 +218,11 @@ def _order_sweep(
     One ascending order sweep of the (p, q) cycling: at each q strictly
     inside the bounds of the current p-th power, which may shrink, move to
     the closed orbit of that order.  Returns the element reached, wit times
-    the conjugator from x to it, and whether anything moved.  A rigid
-    element is recurrent at every order, so the sweep stops as soon as it
-    holds one: before the first order, and after each move, the only time
-    the element changes.
+    the conjugator from x to it, and whether anything moved.  Once the
+    element is rigid, every later walk is one element long and moves
+    nothing (see recurrent_representative).
     """
     cur, moved = x, False
-    if is_rigid(cur):
-        return cur, wit, moved
     xp = cur ** p
     q = xp.inf + 1
     while q < xp.sup:
@@ -220,8 +232,6 @@ def _order_sweep(
                 wit = wit * rec.witness
                 cur = rec.recurrent_element
                 moved = True
-                if is_rigid(cur):
-                    break
                 xp = cur ** p
         q += 1
     return cur, wit, moved
@@ -342,9 +352,8 @@ def cmn_star_representative(x: CanonicalElement, m: int, n: int) -> WitnessedEle
     cycling (p, q) for every p in [m, n] and every q: run the ascending
     order sweep for each p in turn and repeat until a full pass changes
     nothing, at which point every orbit check found its start already
-    recurrent, or the element is rigid and needed none, i.e. the element
-    is simultaneously stable.  No bound on the number of passes is known,
-    hence the cap.
+    recurrent, i.e. the element is simultaneously stable.  No bound on the
+    number of passes is known, hence the cap.
     """
     if m > n:
         raise ValueError("need m <= n")

@@ -6,11 +6,11 @@ survives squaring: x^2 /\\ D^{inf x + sup x} = x D^{inf x}.  The test,
 cycling.is_rigid, reads this off the one factor pair at the junction of x
 with itself.  Cycling acts on a rigid element by cyclically permuting its
 factors (up to tau), so rigid elements are recurrent under every
-double-order cycling, and the cycling layer answers their recurrence
-without walking an orbit.  For rigid x the set of conjugates recurrent at
-every double order is exactly the set of rigid conjugates.  A rigid
-element is recurrent at every order, so each of them lies in C*(x), and
-the set is C*(x) filtered by is_rigid.
+double-order cycling, and the cycling layer's recurrence walk ends at
+the first rigid element it meets.  For rigid x the set of conjugates
+recurrent at every double order is exactly the set of rigid conjugates.
+A rigid element is recurrent at every order, so each of them lies in
+C*(x), and the set is C*(x) filtered by is_rigid.
 
 Whether some power of x is conjugate to a rigid element is decided through
 the stable exponents N1, N2: denominators of the extremal normalized summit
@@ -75,8 +75,8 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     refined summit set, then iterate the order-(2, infs+sups) cycling to
     recurrence and test the element reached for rigidity.  The walk runs
     at canonical length 1 only:
-    - a representative that is rigid already is recurrent there, so the
-      walk would return it with the identity as witness;
+    - a representative that is rigid already ends the walk at once, with
+      the identity as witness (see recurrent_representative);
     - a representative y of canonical length >= 2 that is not rigid has
       no rigid conjugate for the walk to reach.  A rigid conjugate is
       recurrent at every order (see is_rigid), so it lies in C*(x^N) with
@@ -90,7 +90,7 @@ def rigid_power(x: CanonicalElement) -> RigidReport:
     xn = x ** n
     rep = cstar_representative(xn)
     y, wit = rep.element, rep.witness
-    if y.clen == 1 and not is_rigid(y):
+    if y.clen == 1:
         rec = recurrent_representative(y, y.inf + y.sup, p=2)
         y = rec.recurrent_element
         wit = wit * rec.witness

@@ -113,13 +113,13 @@ def summit_bounds(x: CanonicalElement) -> tuple[int, int]:
     summit inf, and one on a closed orbit of the order-(sup - 1) cycling
     attains the summit sup; the second orbit keeps the inf reached by the
     first.  Each phase re-reads its order whenever the orbit moved the
-    bound it is read from.  Canonical length at most 1 is final already,
-    and so is a rigid element, which lies on a closed orbit of every order
-    (see is_rigid): a phase stops as soon as it holds one.
+    bound it is read from.  Canonical length at most 1 is final already.
+    A rigid element lies on a closed orbit of every order, so its walk is
+    one element long and ends the phase (see recurrent_representative).
     """
     y = x
     for order in (lambda z: z.inf + 1, lambda z: z.sup - 1):
-        while y.clen > 1 and not is_rigid(y):
+        while y.clen > 1:
             q = order(y)
             y = recurrent_representative(y, q).recurrent_element
             if order(y) == q:

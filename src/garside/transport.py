@@ -51,7 +51,7 @@ from .core import (
     Simple,
     simple_element,
 )
-from .cycling import NotRecurrentError, recurrent_representative
+from .cycling import NotRecurrentError, closed_orbit, cyc_q
 
 
 def _phi_simple(
@@ -194,7 +194,8 @@ class OrbitTransport:
     orbit.  Otherwise the boundary orders take their closed forms, the
     tau^q-orbit of x for q <= inf x and the fixed point x for q >= sup x
     (see cycling.cyc_q), and only an interior order walks the orbit with
-    recurrent_representative.
+    closed_orbit and cyc_q.  That walk takes every step, rigid elements
+    included, since the transports need every element of the orbit.
     """
 
     def __init__(
@@ -213,7 +214,7 @@ class OrbitTransport:
             elif q >= x.sup:
                 orbit = (x,)
             else:
-                rec = recurrent_representative(x, q)
+                rec = closed_orbit(x, lambda y: cyc_q(y, q))
                 if rec.entry_index:
                     raise NotRecurrentError(f"element is not order-{q} recurrent")
                 orbit = rec.elements

@@ -344,22 +344,29 @@ def is_rigid_by_squaring(x: CanonicalElement) -> bool:
     return (x * x).meet_delta(x.inf + x.sup) == x * delta_power(x.struct, x.inf)
 
 
-# The recurrence questions answered by walking a closed orbit every time,
-# with no rigidity exit: the references for cycling's order sweep, its
-# two representatives, summit_bounds and in_recurrence_set.  Each reads
-# recurrent_representative off the cycling module at call time.
+# The recurrence questions answered by walking the whole closed orbit of
+# the cycling every time, with no stop at a rigid element: the references
+# for cycling's order sweep, its two representatives, summit_bounds,
+# in_recurrence_set and rigid_power, whose walks all end at the first rigid
+# element.  Each walks closed_orbit with cyc_pq, read off the cycling
+# module at call time.
+
+
+def _walk(x: CanonicalElement, q: int, p: int = 1):
+    """The orbit of x under the (p, q) cycling up to its first revisit."""
+    from garside import cycling
+
+    return cycling.closed_orbit(x, lambda y: cycling.cyc_pq(y, p, q))
 
 
 def order_sweep_by_walking(x: CanonicalElement, wit: CanonicalElement, p: int):
     """The ascending (p, q) order sweep, walking an orbit at every order."""
-    from garside import cycling
-
     cur, moved = x, False
     xp = cur ** p
     q = xp.inf + 1
     while q < xp.sup:
         if q > xp.inf:
-            rec = cycling.recurrent_representative(cur, q, p=p)
+            rec = _walk(cur, q, p)
             if rec.entry_index:
                 wit = wit * rec.witness
                 cur = rec.recurrent_element
@@ -389,22 +396,18 @@ def cmn_star_representative_by_walking(x: CanonicalElement, m: int, n: int) -> t
 
 def summit_bounds_by_walking(x: CanonicalElement) -> tuple[int, int]:
     """summit_bounds' two phases of closed orbits, each walked to its end."""
-    from garside import cycling
-
     y = x
     for order in (lambda z: z.inf + 1, lambda z: z.sup - 1):
         while y.clen > 1:
             q = order(y)
-            y = cycling.recurrent_representative(y, q).recurrent_element
+            y = _walk(y, q).recurrent_element
             if order(y) == q:
                 break
     return y.inf, y.sup
 
 
 def in_recurrence_set_by_walking(x: CanonicalElement, q: int, p: int) -> bool:
-    from garside import cycling
-
-    return cycling.recurrent_representative(x, q, p=p).entry_index == 0
+    return _walk(x, q, p).entry_index == 0
 
 
 def rigid_power_by_walking(x: CanonicalElement):
@@ -423,7 +426,7 @@ def rigid_power_by_walking(x: CanonicalElement):
     rep = cycling.cstar_representative(x ** n)
     y, wit = rep.element, rep.witness
     if not is_rigid_by_squaring(y):
-        rec = cycling.recurrent_representative(y, y.inf + y.sup, p=2)
+        rec = _walk(y, y.inf + y.sup, 2)
         y, wit = rec.recurrent_element, wit * rec.witness
     if not is_rigid_by_squaring(y):
         return RigidReport(False, (n1, n2))
@@ -488,16 +491,15 @@ def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str
 def element_orbit_transports(x: CanonicalElement, kind: str) -> list[list]:
     """
     For each recurrence order of the kind, ascending, the transport
-    contexts around the closed orbit of x, walked by recurrent_representative
-    at every order, boundary orders included.
+    contexts around the closed orbit of x, walked with cyc_q at every
+    order, boundary orders included.
     """
-    from garside.cycling import recurrent_representative
     from garside.summit import recurrence_orders
     from garside.transport import TransportContext
 
     out = []
     for q in recurrence_orders(kind, x):
-        rec = recurrent_representative(x, q)
+        rec = _walk(x, q)
         assert rec.entry_index == 0, (x, q)
         out.append([TransportContext(y, q) for y in rec.elements])
     return out

@@ -11,6 +11,7 @@ from garside.braid import braid_structure, parse_word
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
+    closed_orbit,
     cmn_star_representative,
     cstar_representative,
     cyc,
@@ -149,8 +150,9 @@ def test_recurrent_representative():
         for p in (-1, 2):
             rec = recurrent_representative(y, q, p=p)
             steps = zip(rec.elements, rec.elements[1:] + (rec.recurrent_element,), rec.conjugators)
+            # the walk's step: a rigid element maps to itself
             for a, b, c in steps:
-                assert cyc_pq(a, p, q) == (b, c)
+                assert ((a, identity_element(a.struct)) if is_rigid(a) else cyc_pq(a, p, q)) == (b, c)
             assert in_recurrence_set(rec.recurrent_element, q, p=p)
 
 
@@ -328,9 +330,12 @@ def sweep_inputs(draw):
 @example(parse_word("1", 3))
 @example(parse_word("1 1", 3).conj(parse_word("2 1", 3)))
 @example(delta_power(braid_structure(4), -1))
+@example(parse_word("1 2 3", 4))
 def test_rigid_exits_match_the_walks(x):
     # every answer that stops early at a rigid element must be the one the
-    # walk over every order returns, witnesses included
+    # walk over every order returns, witnesses included.  The last example
+    # is not rigid, has canonical length 1, and moves under the (2, 1)
+    # cycling
     w = cstar_representative(x)
     assert (w.element, w.witness) == cstar_representative_by_walking(x)
     for m in range(-2, 4):
@@ -342,19 +347,28 @@ def test_rigid_exits_match_the_walks(x):
         xp = x ** p
         for q in range(xp.inf - 1, xp.sup + 2):
             assert in_recurrence_set(x, q, p=p) == in_recurrence_set_by_walking(x, q, p), (p, q)
+            # the record ends at the first rigid element, where the walk to
+            # the first revisit enters its closed orbit: a prefix of that
+            # walk, with the same recurrent element and witness
+            rec = recurrent_representative(x, q, p=p)
+            full = closed_orbit(x, lambda y: cyc_pq(y, p, q))
+            assert (rec.recurrent_element, rec.witness) == (full.recurrent_element, full.witness), (p, q)
+            assert (rec.entry_index == 0) == (full.entry_index == 0), (p, q)
+            assert rec.elements == full.elements[: len(rec.elements)], (p, q)
 
 
 def test_sweep_stops_once_rigid(rng, monkeypatch):
-    # conjugates of rigid elements: the sweep walks until it reaches a rigid
-    # element and no further, where the walking sweep confirms every order
+    # conjugates of rigid elements: the sweep cycles until it reaches a
+    # rigid element and no further, where the walking sweep goes round the
+    # closed orbit at every order
     walks = []
-    original = cycling.recurrent_representative
+    original = cycling.cyc_pq
 
     def counted(*args, **kwargs):
         walks.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cycling, "recurrent_representative", counted)
+    monkeypatch.setattr(cycling, "cyc_pq", counted)
     stopped = 0
     for _ in range(100):
         n = rng.choice([3, 4, 5])

@@ -53,6 +53,22 @@ def test_summit_kinds_are_named_in_summit_only():
         assert "recurrence_orders" not in names, module.__name__
 
 
+def test_rigid_stop_is_the_walks_alone():
+    # recurrent_representative ends its walk at the first rigid element, so
+    # the callers that only ask for recurrence hold no rigidity rule of
+    # their own, and rigid_power reads is_rigid once, for its answer
+    def references(module, name):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        return [node for node in ast.walk(fn)
+                if getattr(node, "id", getattr(node, "attr", None)) == "is_rigid"]
+
+    for module, name in [(garside.cycling, "_order_sweep"), (garside.cycling, "in_recurrence_set"),
+                         (garside.summit, "summit_bounds")]:
+        assert not references(module, name), name
+    assert len(references(garside.rigid, "rigid_power")) == 1
+
+
 def test_no_private_imports_across_modules():
     assert SOURCES
     found = set()

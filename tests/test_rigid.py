@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 
 from garside.braid import braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
-from garside.cycling import cyc_q, recurrent_representative
+from garside.cycling import closed_orbit, cyc_pq, cyc_q
 from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
 from garside.summit import c_star, summit_bounds
 
@@ -62,14 +62,16 @@ def test_is_rigid_matches_squaring(x):
 
 
 def test_rigid_elements_are_recurrent_at_every_double_order(rng):
-    # the theorem behind the cycling layer's rigid exits: every rigid x lies
-    # on a closed orbit of the (p, q) cycling, for every q the exits cover
+    # the theorem behind the recurrence walk's rigid stop: every rigid x
+    # lies on a closed orbit of the (p, q) cycling, for every q the stop
+    # covers.  The orbit is the cycling's own, not the walk's, which maps a
+    # rigid element to itself
     for _ in range(40):
         x = random_rigid_element(rng, rng.choice([3, 4, 5, 6, 7, 8]), max_len=4)
         for p in (-1, 1, 2, 3):
             xp = x ** p
             for q in range(min(x.inf, xp.inf) - 1, max(x.sup, xp.sup) + 2):
-                assert recurrent_representative(x, q, p=p).entry_index == 0, (x, p, q)
+                assert closed_orbit(x, lambda y: cyc_pq(y, p, q)).entry_index == 0, (x, p, q)
 
 
 def test_rigid_iff_normal_form_survives_one_cycle(rng):

@@ -110,7 +110,7 @@ ULTRA_B20_FACTORS = (
 
 
 def test_ultra_set_keeps_every_seed_atom_member():
-    from garside.cycling import recurrent_representative
+    from garside.cycling import closed_orbit, cyc_q
 
     x = normalize(braid_structure(20), 1, ULTRA_B20_FACTORS)
     assert (x.inf, x.clen, x.factors) == (1, 5, ULTRA_B20_FACTORS)
@@ -119,7 +119,7 @@ def test_ultra_set_keeps_every_seed_atom_member():
     assert uss.verify_witnesses()
     for m in uss.members:
         assert (m.inf, m.sup) == (uss.infs, uss.sups)
-        assert recurrent_representative(m, uss.infs + 1).entry_index == 0
+        assert closed_orbit(m, lambda y: cyc_q(y, uss.infs + 1)).entry_index == 0
 
 
 def test_conjugacy_invariance(rng):
@@ -151,6 +151,24 @@ def test_exhaustive_mode_agrees(rng):
         st = braid_structure(n)
         for kind in ("super", "ultra", "star"):
             assert frozenset(summit_set(x, kind).members) == summit_members_exhaustive(st, x, kind), (x, kind)
+
+
+@pytest.mark.parametrize(
+    "n, word, star_size, ultra_size",
+    [(4, "1 2 1 1 2 1 1", 4, 8), (5, "1 2 3 1 2 1 2 3 1 2 1 1 2 3", 8, 24)],
+)
+def test_star_set_smaller_than_ultra_matches_the_exhaustive_oracle(n, word, star_size, ultra_size):
+    # the random draws above almost always give C* = USS; these classes
+    # have a C* strictly inside their ultra summit set, so closing C* on
+    # the ultra orders would show here
+    st = braid_structure(n)
+    x = parse_word(word, n)
+    star = frozenset(c_star(x).members)
+    ultra = frozenset(ultra_summit_set(x).members)
+    assert star == summit_members_exhaustive(st, x, "star")
+    assert ultra == summit_members_exhaustive(st, x, "ultra")
+    assert (len(star), len(ultra)) == (star_size, ultra_size)
+    assert star < ultra
 
 
 def test_convexity_of_membership(rng):

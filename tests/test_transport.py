@@ -12,10 +12,11 @@ from garside.braid import BraidStructure, braid_structure, parse_word, random_si
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
     NotRecurrentError,
+    closed_orbit,
     cstar_representative,
+    cyc_q,
     in_recurrence_set,
     is_rigid,
-    recurrent_representative,
     trajectory,
 )
 from garside.summit import c_star, recurrence_orders, ultra_summit_set
@@ -66,8 +67,6 @@ def _instances(rng, count, interior_only=False):
 
 def test_push_square_identity(rng):
     # (x /\ D^q) phi(u) = u (x^u /\ D^q), hence cyc_q(x)^{phi(u)} = cyc_q(x^u)
-    from garside.cycling import cyc_q
-
     for st, x, q, u in _instances(rng, N_INSTANCES):
         phi = TransportContext(x, q).push(u)
         assert x.meet_delta(q) * phi == u * x.conj(u).meet_delta(q), (x, q, u)
@@ -458,7 +457,7 @@ def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
     # the seed step of a key element builds its interior-order transports
     # from the orbits its trajectory's closure walked, and its boundary-order
     # ones in closed form; each must list the same context elements, in the
-    # same order, as the orbit that cycling from scratch walks
+    # same order, as the closed orbit that cycling from scratch walks
     built = []
 
     class RecordingOrbitTransport(OrbitTransport):
@@ -474,7 +473,7 @@ def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
             assert ss.verify_witnesses()
     assert sum(reused for _, reused in built) >= 10
     for ot, reused in built:
-        walked = recurrent_representative(ot.x, ot.q).elements
+        walked = closed_orbit(ot.x, lambda y: cyc_q(y, ot.q)).elements
         assert [c.x for c in ot.contexts] == list(walked), (ot.x, ot.q)
         x = ot.x
         # only interior orders come from a closure, boundary orders never do
@@ -563,8 +562,8 @@ def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
     # at q <= inf x the orbit is the tau^q-orbit of x, at q >= sup x the
     # fixed point x: built with no cycling step, they list the elements
     # that cycling walks
-    def no_cycling(x, q):
-        raise AssertionError(f"cycled at the boundary order {q}")
+    def no_cycling(x, step):
+        raise AssertionError(f"walked an orbit of {x} at a boundary order")
 
     b2, b4 = braid_structure(2), braid_structure(4)
     assert b2.order_of_tau == 1
@@ -577,10 +576,10 @@ def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
     for x in xs:
         orders = [*range(x.inf - 2, x.inf + 1), *range(x.sup, x.sup + 3)]
         with monkeypatch.context() as patch:
-            patch.setattr(transport, "recurrent_representative", no_cycling)
+            patch.setattr(transport, "closed_orbit", no_cycling)
             built = [OrbitTransport(x, q) for q in orders]
         for ot in built:
-            walked = recurrent_representative(x, ot.q).elements
+            walked = closed_orbit(x, lambda y: cyc_q(y, ot.q)).elements
             assert [c.x for c in ot.contexts] == list(walked), (x, ot.q)
 
 
