@@ -231,8 +231,6 @@ def _summit_closure(
     while queue and target not in witnesses:
         budget.count()
         y, orbits = queue.pop()
-        if y.clen == 0:
-            continue
         wy = witnesses[y]
         for conj, z in _seed_trajectories(y, orders, orbits):
             budget.count()

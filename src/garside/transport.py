@@ -22,15 +22,19 @@ the first factor; the pullback runs v_step and w_step.  The w-step is the
 residual x\\w = x^{-1} (x \\/ w), and the v-step is a slide followed by
 one.  A leading D^m peels off through tau:
 phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).  Outside [inf x, sup x] the
-pushforward has a closed form (see TransportContext).  So the orbit
-transports and the minimal-conjugator sweep iterate (power, simple) pairs
-rather than elements, and convert only at the sweep's two ends.
+pushforward has a closed form (see TransportContext).  So the pair steps
+_push and _pull map (power, simple) pairs, the orbit transports and the
+minimal-conjugator sweep iterate such pairs rather than elements, and
+elements are converted only at the sweep's two ends and in
+TransportContext's push and pull.
 
 Composing the single steps around a closed orbit of the order-q cycling
 gives the orbit transports (pushforward forwards, pullback in reversed
 nesting).  An element x^u is order-q recurrent exactly when the orbit
 pushforward returns to u after finitely many rounds, which is what makes
-the minimal-conjugator sweep below terminate and be correct.
+the minimal-conjugator sweep below terminate and be correct.  An optional
+stop predicate, asked about every iterate, ends a sweep early with None:
+the seed step drops an atom that way.
 
 The summit closures seed from key elements of trajectories, and the
 closure of a trajectory has already taken every interior-order cycling
@@ -43,6 +47,7 @@ for q <= inf x and the fixed point x for q >= sup x.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -119,6 +124,41 @@ def _pair(struct: GarsideStructure, u: CanonicalElement) -> Pair:
     return u.power, (u.factors[0] if u.factors else struct.identity)
 
 
+def _push(x: CanonicalElement, q: int, u: Pair) -> Pair:
+    """The pushforward of the pair u along the order-q cycling step of x."""
+    m, t = u
+    k = q - x.power
+    if k < 0:
+        return m, x.struct.tau_pow(t, q)
+    if k > len(x.factors):
+        return u
+    return _chain(_phi_simple, x, m, k, t)
+
+
+def _pull(x: CanonicalElement, q: int, u: Pair) -> Pair:
+    """The pullback of the pair u along the order-q cycling step of x."""
+    m, t = u
+    k = q - x.power
+    if not 0 <= k <= len(x.factors):
+        raise ValueError("pullback is only defined for orders between inf x and sup x")
+    return _chain(_pi_simple, x, m, k, t)
+
+
+def _chain(chain: Callable[..., Simple], x: CanonicalElement, m: int, k: int, t: Simple) -> Pair:
+    """
+    D^m times the chain's value at the simple t, which runs on the
+    factors of tau^m(x), since phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s)
+    and likewise for pi; a D value moves into the power.
+    """
+    s = x.struct
+    factors: Sequence[Simple] = x.factors
+    if m % s.order_of_tau:
+        factors = [s.tau_pow(f, m) for f in factors]
+    r = chain(s, factors, x.power, k, t)
+    return (m + 1, s.identity) if r == s.delta else (m, r)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransportContext:
     """
     A cycling step x -> cyc_q(x) prepared for transporting conjugators of
@@ -133,69 +173,37 @@ class TransportContext:
     Both maps raise ValueError, at every order, on an argument of canonical
     length above 1 or of another structure.
 
-    The arithmetic runs on (power, simple) pairs, the values the orbit
-    transports iterate: (m, s) stands for D^m s, and s is never D, so equal
-    pairs are equal elements.  push and pull convert around the pair steps.
+    push and pull convert elements to and from the (power, simple) pairs
+    that the module's pair steps _push and _pull take, the values the
+    orbit transports iterate: (m, s) stands for D^m s, and s is never D,
+    so equal pairs are equal elements.
     """
 
-    def __init__(self, x: CanonicalElement, q: int):
-        self.x = x
-        self.q = q
-        self.struct = x.struct
+    x: CanonicalElement
+    q: int
 
     def push(self, u: CanonicalElement) -> CanonicalElement:
-        m, t = self._push(_pair(self.struct, u))
-        return simple_element(self.struct, t, m)
+        m, t = _push(self.x, self.q, _pair(self.x.struct, u))
+        return simple_element(self.x.struct, t, m)
 
     def pull(self, u: CanonicalElement) -> CanonicalElement:
-        m, t = self._pull(_pair(self.struct, u))
-        return simple_element(self.struct, t, m)
-
-    def _push(self, u: Pair) -> Pair:
-        s, x, q = self.struct, self.x, self.q
-        m, t = u
-        k = q - x.power
-        if k < 0:
-            return m, s.tau_pow(t, q)
-        if k > len(x.factors):
-            return u
-        return self._chain(_phi_simple, m, k, t)
-
-    def _pull(self, u: Pair) -> Pair:
-        x, q = self.x, self.q
-        m, t = u
-        k = q - x.power
-        if not 0 <= k <= len(x.factors):
-            raise ValueError(
-                "pullback is only defined for orders between inf x and sup x"
-            )
-        return self._chain(_pi_simple, m, k, t)
-
-    def _chain(self, chain: Callable[..., Simple], m: int, k: int, t: Simple) -> Pair:
-        """
-        D^m times the chain's value at the simple t, which runs on the
-        factors of tau^m(x), since phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s)
-        and likewise for pi; a D value moves into the power.
-        """
-        s, x = self.struct, self.x
-        factors: Sequence[Simple] = x.factors
-        if m % s.order_of_tau:
-            factors = [s.tau_pow(f, m) for f in factors]
-        r = chain(s, factors, x.power, k, t)
-        return (m + 1, s.identity) if r == s.delta else (m, r)
+        m, t = _pull(self.x, self.q, _pair(self.x.struct, u))
+        return simple_element(self.x.struct, t, m)
 
 
 class OrbitTransport:
     """
     Transport of (power, simple) pairs around the full closed orbit of x
-    under the order-q cycling.  Raises NotRecurrentError unless x lies on
-    its closed orbit.  A caller that already holds that orbit (its elements
-    from x onwards, as the trajectory closure records them) passes it as
-    orbit.  Otherwise the boundary orders take their closed forms, the
-    tau^q-orbit of x for q <= inf x and the fixed point x for q >= sup x
-    (see cycling.cyc_q), and only an interior order walks the orbit with
-    closed_orbit and cyc_q.  That walk takes every step, rigid elements
-    included, since the transports need every element of the orbit.
+    under the order-q cycling, held as the tuple orbit, from x onwards,
+    whose elements the pair steps _push and _pull run on in turn.  Raises
+    NotRecurrentError unless x lies on its closed orbit.  A caller that
+    already holds that orbit (as the trajectory closure records it) passes
+    it as orbit.  Otherwise the boundary orders take their closed forms,
+    the tau^q-orbit of x for q <= inf x and the fixed point x for
+    q >= sup x (see cycling.cyc_q), and only an interior order walks the
+    orbit with closed_orbit and cyc_q.  That walk takes every step, rigid
+    elements included, since the transports need every element of the
+    orbit.
     """
 
     def __init__(
@@ -222,20 +230,17 @@ class OrbitTransport:
             raise ValueError("an orbit must start at its element")
         self.x = x
         self.q = q
-        self.contexts = tuple(TransportContext(y, q) for y in orbit)
+        self.orbit = tuple(orbit)
 
     def push_around(self, u: Pair) -> Pair:
-        for ctx in self.contexts:
-            u = ctx._push(u)
+        for y in self.orbit:
+            u = _push(y, self.q, u)
         return u
 
     def pull_around(self, u: Pair) -> Pair:
-        for ctx in reversed(self.contexts):
-            u = ctx._pull(u)
+        for y in reversed(self.orbit):
+            u = _pull(y, self.q, u)
         return u
-
-
-Probe = Callable[[Pair], None]
 
 
 def _dominates(s: GarsideStructure, entering: Pair, cur: Pair) -> bool:
@@ -258,8 +263,8 @@ def _dominates(s: GarsideStructure, entering: Pair, cur: Pair) -> bool:
 def minimal_recurrent_conjugator(
     transports: Sequence[OrbitTransport],
     u: CanonicalElement,
-    probe: Probe | None = None,
-) -> CanonicalElement:
+    stop: Callable[[Pair], bool] | None = None,
+) -> CanonicalElement | None:
     """
     The minimal v with u dividing v such that x^v is recurrent at every
     order q of the transports, which are the orbit transports of one x in
@@ -275,8 +280,9 @@ def minimal_recurrent_conjugator(
     revisited value they have run through their whole period, so a sweep
     that has not found a dominating iterate by then never will.  Both
     sweeps iterate (power, simple) pairs, converting from u and to v only
-    at the ends; the optional probe sees every intermediate iterate as a
-    pair (m, s) standing for D^m s, s never D.
+    at the ends.  The optional predicate stop is asked about every
+    intermediate iterate, a pair (m, s) standing for D^m s, s never D;
+    the sweep returns None at the first iterate it answers True for.
     """
     struct = transports[0].x.struct if transports else u.struct
     stage_inputs: list[Pair] = []
@@ -286,8 +292,8 @@ def minimal_recurrent_conjugator(
         seen = {cur}
         while True:
             cur = ot.pull_around(cur)
-            if probe is not None:
-                probe(cur)
+            if stop is not None and stop(cur):
+                return None
             if cur in seen:
                 break
             seen.add(cur)
@@ -296,8 +302,8 @@ def minimal_recurrent_conjugator(
         first_revisit = None
         while True:
             cur = ot.push_around(cur)
-            if probe is not None:
-                probe(cur)
+            if stop is not None and stop(cur):
+                return None
             if first_revisit is None:
                 if cur not in seen:
                     seen.add(cur)
@@ -308,10 +314,6 @@ def minimal_recurrent_conjugator(
             if _dominates(struct, entering, cur):
                 break
     return simple_element(struct, cur[1], cur[0])
-
-
-class _Excluded(Exception):
-    pass
 
 
 def _seed_trajectories(
@@ -336,8 +338,9 @@ def _seed_trajectories(
     closed form.
 
     An atom is dropped as soon as another still-live atom divides one of
-    the transport iterates produced while minimizing it; the surviving
-    atoms' trajectories cover the dropped ones.
+    the transport iterates produced while minimizing it: the sweep's stop
+    predicate answers True there and the sweep returns None.  The
+    surviving atoms' trajectories cover the dropped ones.
     """
     s = x.struct
     orbits = orbits or {}
@@ -348,21 +351,19 @@ def _seed_trajectories(
     for idx, atom in enumerate(atoms):
         others = [j for j in sorted(live) if j != idx]
 
-        def probe(w: Pair) -> None:
+        def excluded(w: Pair) -> bool:
             power, table = w
             if power >= 1:
-                if others:
-                    raise _Excluded
-                return
+                return bool(others)
             if power < 0 or table == s.identity:
-                return
+                return False
             for j in others:
                 if s.atom_divides(j, table):
-                    raise _Excluded
+                    return True
+            return False
 
-        try:
-            v = minimal_recurrent_conjugator(transports, simple_element(s, atom), probe)
-        except _Excluded:
+        v = minimal_recurrent_conjugator(transports, simple_element(s, atom), excluded)
+        if v is None:
             live.discard(idx)
             continue
         out.append((v, x.conj(v)))

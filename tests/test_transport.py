@@ -1,5 +1,6 @@
 """Pushforward/pullback identities, the factor-chain calculus, minimal conjugators."""
 
+import dataclasses
 import itertools
 import random
 
@@ -205,6 +206,17 @@ def test_transport_argument_validation():
             TransportContext(x, q).push(x)
     ident = identity_element(st)
     assert TransportContext(x, 1).push(ident) == ident
+
+
+def test_transport_context_is_frozen():
+    # a context is shared as a value: it holds x and q only, and neither
+    # can be reassigned after it is built
+    x = parse_word("1 2 2 1 2", 3)
+    ctx = TransportContext(x, 1)
+    assert [f.name for f in dataclasses.fields(ctx)] == ["x", "q"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.q = 5
+    assert (ctx.x, ctx.q) == (x, 1)
 
 
 def test_transport_rejects_other_structures():
@@ -456,7 +468,7 @@ def test_summit_sets_keep_the_simple_product_contract(rng):
 def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
     # the seed step of a key element builds its interior-order transports
     # from the orbits its trajectory's closure walked, and its boundary-order
-    # ones in closed form; each must list the same context elements, in the
+    # ones in closed form; each must hold the same orbit elements, in the
     # same order, as the closed orbit that cycling from scratch walks
     built = []
 
@@ -474,7 +486,7 @@ def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
     assert sum(reused for _, reused in built) >= 10
     for ot, reused in built:
         walked = closed_orbit(ot.x, lambda y: cyc_q(y, ot.q)).elements
-        assert [c.x for c in ot.contexts] == list(walked), (ot.x, ot.q)
+        assert list(ot.orbit) == list(walked), (ot.x, ot.q)
         x = ot.x
         # only interior orders come from a closure, boundary orders never do
         assert reused == (x.inf < ot.q < x.sup), (x, ot.q)
@@ -529,17 +541,47 @@ def test_pair_sweep_matches_the_element_oracle(case):
     transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
     orbits = element_orbit_transports(x, kind)
 
-    def probe(pair):
+    def never(pair):
         # a D simple would make a second pair for the same element
         assert pair[1] != st.delta, pair
+        return False
 
     for m in (-1, 0, 1):
         for atom in st.atoms:
             u = simple_element(st, atom, m)
             expected = minimal_conjugator_by_elements(orbits, u)
-            assert minimal_recurrent_conjugator(transports, u, probe) == expected, (x, kind, u)
+            assert minimal_recurrent_conjugator(transports, u, never) == expected, (x, kind, u)
     seeds = transport._seed_trajectories(x, recurrence_orders(kind, x))
     assert seeds == seed_trajectories_by_elements(x, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_sweep_stop_predicate(case):
+    # a stop predicate that never fires leaves the sweep's answer as it is;
+    # one that fires on the first iterate it is asked about ends the sweep
+    # there with None
+    x, kind = case
+    st = x.struct
+    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
+    for atom in st.atoms:
+        u = simple_element(st, atom)
+        asked = []
+
+        def never(pair):
+            asked.append(pair)
+            return False
+
+        def first(pair):
+            asked.append(pair)
+            return True
+
+        assert minimal_recurrent_conjugator(transports, u, never) == \
+            minimal_recurrent_conjugator(transports, u), (x, kind, u)
+        assert asked
+        asked.clear()
+        assert minimal_recurrent_conjugator(transports, u, first) is None, (x, kind, u)
+        assert len(asked) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,7 +622,7 @@ def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
             built = [OrbitTransport(x, q) for q in orders]
         for ot in built:
             walked = closed_orbit(x, lambda y: cyc_q(y, ot.q)).elements
-            assert [c.x for c in ot.contexts] == list(walked), (x, ot.q)
+            assert list(ot.orbit) == list(walked), (x, ot.q)
 
 
 def test_minimal_conjugator_validates_its_argument():
