@@ -20,7 +20,9 @@ is its closure under all interior-order cyclings together with tau.  The
 closure takes its orders as one ascending list from inf to sup, and
 summit.py decides which orders each summit kind needs.  It takes every
 interior-order step from every member, so it also returns the closed
-orbits of its key element, which the summit closure's seed step turns into
+orbits of its key element, at the interior orders walked off the steps it
+took and at the two boundary orders in closed form: this is the one place
+that decides them, and the summit closure's seed step turns them into
 orbit transports without cycling again.
 
 A rigid element, one whose normal form survives squaring, lies on a closed
@@ -31,7 +33,8 @@ at the first rigid element it meets, with the witness the whole walk
 would give.  So every caller that asks for a recurrent element, the order
 sweep, in_recurrence_set and the summit bounds among them, stops at a
 rigid element without a rule of its own.  The whole closed orbit, which
-transports need, is closed_orbit with the cycling step.
+transports need, is the trajectory closure's, or closed_orbit with the
+cycling step.
 
 Everything here is pure and operates on immutable values.
 """
@@ -277,12 +280,17 @@ def _closure_trajectory(
     (orders[0], orders[-1]); a drift means the seed was not recurrent at
     some order, which is reported as an error.
 
-    The closure takes one cycling step of every order from every member,
-    so it records each member's successor at each interior order, and
-    returns with the trajectory the key element's closed orbit at each
-    interior order (starting at the key element), walked off those
-    successors: the seed step of the key element builds its orbit
-    transports from them.  The successor maps are dropped on return.
+    Returned with the trajectory is the key element's closed orbit at
+    every one of orders, starting at the key element, from which the seed
+    step of the key element builds its orbit transports.  The closure
+    takes one cycling step of every interior order from every member, so
+    it records each member's successor there and walks the interior orbits
+    off those successors; the successor maps are dropped on return.  At
+    the boundary orders the step is tau^q (q <= inf) or the identity
+    (q >= sup), so those orbits take no cycling step: at orders[0] the
+    tau^q-orbit of the key element, at orders[-1] the key element alone.
+    When inf = sup the two orders coincide and the tau^q-orbit is listed,
+    which for that Delta power is the key element alone too.
     """
     s = seed.struct
     bounds = (orders[0], orders[-1])
@@ -313,7 +321,11 @@ def _closure_trajectory(
                 queue.append(z)
     members = tuple(sorted(witnesses, key=CanonicalElement.key))
     key = members[0]
-    orbits = {q: _walk_orbit(key, successors[q]) for q in interior}
+    tau_orbit = [key]
+    while (z := tau_orbit[-1].tau_pow(orders[0])) != key:
+        tau_orbit.append(z)
+    orbits = {orders[-1]: (key,), orders[0]: tuple(tau_orbit)}
+    orbits.update((q, _walk_orbit(key, successors[q])) for q in interior)
     return Trajectory(members, key, witnesses), orbits
 
 

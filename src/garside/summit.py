@@ -212,8 +212,8 @@ def _summit_closure(
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     # only the star kind returns its trajectories, so only it keeps them
     trajectories: list[Trajectory] | None = [] if kind == "star" else None
-    # key elements still to seed, each with its closed orbits at the
-    # interior orders, which its trajectory's closure has just walked
+    # key elements still to seed, each with its closed orbits at every
+    # order, which its trajectory's closure has just returned
     queue: list[tuple[CanonicalElement, dict]] = []
 
     def register(z: CanonicalElement, conj_to_z: CanonicalElement) -> None:

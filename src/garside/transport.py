@@ -25,24 +25,22 @@ phi_{x,q}(D^m s) = D^m phi_{tau^m(x),q}(s).  Outside [inf x, sup x] the
 pushforward has a closed form (see TransportContext).  So the pair steps
 _push and _pull map (power, simple) pairs, the orbit transports and the
 minimal-conjugator sweep iterate such pairs rather than elements, and
-elements are converted only at the sweep's two ends and in
+elements are converted only in the seed step, once per atom, and in
 TransportContext's push and pull.
 
 Composing the single steps around a closed orbit of the order-q cycling
 gives the orbit transports (pushforward forwards, pullback in reversed
 nesting).  An element x^u is order-q recurrent exactly when the orbit
 pushforward returns to u after finitely many rounds, which is what makes
-the minimal-conjugator sweep below terminate and be correct.  An optional
-stop predicate, asked about every iterate, ends a sweep early with None:
-the seed step drops an atom that way.
+the minimal-conjugator sweep below terminate and be correct.  A stop
+predicate, asked about every iterate, ends a sweep early with None: the
+seed step drops an atom that way.
 
-The summit closures seed from key elements of trajectories, and the
-closure of a trajectory has already taken every interior-order cycling
-step of its members.  So the seed step builds a key element's orbit
-transports at the interior orders from the closed orbits that closure
-walked (cycling._closure_trajectory), and takes no cycling step at the
-boundary orders, where the orbit has a closed form: the tau^q-orbit of x
-for q <= inf x and the fixed point x for q >= sup x.
+This module takes no cycling step: an orbit transport is given its
+closed orbit.  The summit closures seed from key elements of
+trajectories, and the closure of a trajectory returns the key element's
+closed orbit at every order it was given (cycling._closure_trajectory),
+which the seed step turns into its orbit transports.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from .core import (
     Simple,
     simple_element,
 )
-from .cycling import NotRecurrentError, closed_orbit, cyc_q
 
 
 def _phi_simple(
@@ -193,42 +190,17 @@ class TransportContext:
 
 class OrbitTransport:
     """
-    Transport of (power, simple) pairs around the full closed orbit of x
-    under the order-q cycling, held as the tuple orbit, from x onwards,
-    whose elements the pair steps _push and _pull run on in turn.  Raises
-    NotRecurrentError unless x lies on its closed orbit.  A caller that
-    already holds that orbit (as the trajectory closure records it) passes
-    it as orbit.  Otherwise the boundary orders take their closed forms,
-    the tau^q-orbit of x for q <= inf x and the fixed point x for
-    q >= sup x (see cycling.cyc_q), and only an interior order walks the
-    orbit with closed_orbit and cyc_q.  That walk takes every step, rigid
-    elements included, since the transports need every element of the
-    orbit.
+    Transport of (power, simple) pairs around a closed orbit of the
+    order-q cycling, held as the tuple orbit, from its element
+    x = orbit[0] onwards, whose elements the pair steps _push and _pull
+    run on in turn.  The orbit is taken as given, every element of it,
+    rigid ones included: the seed step passes the orbit that the
+    trajectory closure returned (cycling._closure_trajectory), and
+    cycling.closed_orbit with cyc_q walks one from any recurrent element.
     """
 
-    def __init__(
-        self,
-        x: CanonicalElement,
-        q: int,
-        orbit: Sequence[CanonicalElement] | None = None,
-    ):
-        if orbit is None:
-            if q <= x.inf:
-                orbit = [x]
-                y = x.tau_pow(q)
-                while y != x:
-                    orbit.append(y)
-                    y = y.tau_pow(q)
-            elif q >= x.sup:
-                orbit = (x,)
-            else:
-                rec = closed_orbit(x, lambda y: cyc_q(y, q))
-                if rec.entry_index:
-                    raise NotRecurrentError(f"element is not order-{q} recurrent")
-                orbit = rec.elements
-        elif orbit[0] != x:
-            raise ValueError("an orbit must start at its element")
-        self.x = x
+    def __init__(self, orbit: Sequence[CanonicalElement], q: int):
+        self.x = orbit[0]
         self.q = q
         self.orbit = tuple(orbit)
 
@@ -261,38 +233,33 @@ def _dominates(s: GarsideStructure, entering: Pair, cur: Pair) -> bool:
 
 
 def minimal_recurrent_conjugator(
-    transports: Sequence[OrbitTransport],
-    u: CanonicalElement,
-    stop: Callable[[Pair], bool] | None = None,
-) -> CanonicalElement | None:
+    transports: Sequence[OrbitTransport], u: Pair, stop: Callable[[Pair], bool]
+) -> Pair | None:
     """
     The minimal v with u dividing v such that x^v is recurrent at every
     order q of the transports, which are the orbit transports of one x in
-    ascending order.  u must belong to the structure of x and have
-    canonical length <= 1, or ValueError is raised.  Building the
-    transports is the costly part, so a caller minimising several u around
-    the same x builds them once and passes the same list each time.
+    ascending order.  u and v are (power, simple) pairs, (m, s) standing
+    for D^m s with s never D, so equal pairs are equal elements.  Building
+    the transports is the costly part, so a caller minimising several u
+    around the same x builds them once and passes the same list each time.
 
     Two sweeps: ascending through the orders, iterate the orbit pullback to
     its first revisited value; then descending, iterate the orbit
     pushforward until it both revisits a value and dominates the ascending
     stage's input.  Once the pushforward iterates come back to their first
     revisited value they have run through their whole period, so a sweep
-    that has not found a dominating iterate by then never will.  Both
-    sweeps iterate (power, simple) pairs, converting from u and to v only
-    at the ends.  The optional predicate stop is asked about every
-    intermediate iterate, a pair (m, s) standing for D^m s, s never D;
-    the sweep returns None at the first iterate it answers True for.
+    that has not found a dominating iterate by then never will.  The
+    predicate stop is asked about every intermediate iterate; the sweep
+    returns None at the first iterate it answers True for.
     """
-    struct = transports[0].x.struct if transports else u.struct
     stage_inputs: list[Pair] = []
-    cur = _pair(struct, u)
+    cur = u
     for ot in transports:
         stage_inputs.append(cur)
         seen = {cur}
         while True:
             cur = ot.pull_around(cur)
-            if stop is not None and stop(cur):
+            if stop(cur):
                 return None
             if cur in seen:
                 break
@@ -302,7 +269,7 @@ def minimal_recurrent_conjugator(
         first_revisit = None
         while True:
             cur = ot.push_around(cur)
-            if stop is not None and stop(cur):
+            if stop(cur):
                 return None
             if first_revisit is None:
                 if cur not in seen:
@@ -311,15 +278,15 @@ def minimal_recurrent_conjugator(
                 first_revisit = cur
             elif cur == first_revisit:
                 raise RuntimeError("pushforward sweep failed to dominate its input")
-            if _dominates(struct, entering, cur):
+            if _dominates(ot.x.struct, entering, cur):
                 break
-    return simple_element(struct, cur[1], cur[0])
+    return cur
 
 
 def _seed_trajectories(
     x: CanonicalElement,
     orders: Sequence[int],
-    orbits: Mapping[int, Sequence[CanonicalElement]] | None = None,
+    orbits: Mapping[int, Sequence[CanonicalElement]],
 ) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
     The seed step of the summit closures of every kind.  Returns (v, x^v)
@@ -332,10 +299,8 @@ def _seed_trajectories(
     atoms.  No trajectory is built here: the caller closes the ones it has
     not seen yet.
 
-    orbits holds closed orbits of x by order, as the closure of the
-    trajectory of x returns them for its interior orders; an order it
-    lacks is a boundary order, where OrbitTransport builds the orbit in
-    closed form.
+    orbits holds the closed orbit of x at each of orders, starting at x,
+    as the closure of the trajectory of x returns them.
 
     An atom is dropped as soon as another still-live atom divides one of
     the transport iterates produced while minimizing it: the sweep's stop
@@ -343,8 +308,7 @@ def _seed_trajectories(
     surviving atoms' trajectories cover the dropped ones.
     """
     s = x.struct
-    orbits = orbits or {}
-    transports = [OrbitTransport(x, q, orbits.get(q)) for q in orders]
+    transports = [OrbitTransport(orbits[q], q) for q in orders]
     atoms = s.atoms
     live = set(range(len(atoms)))
     out: list[tuple[CanonicalElement, CanonicalElement]] = []
@@ -362,9 +326,12 @@ def _seed_trajectories(
                     return True
             return False
 
-        v = minimal_recurrent_conjugator(transports, simple_element(s, atom), excluded)
-        if v is None:
+        # the atom's pair; in a structure of rank one, as B_2, the atom is D
+        start = (1, s.identity) if atom == s.delta else (0, atom)
+        w = minimal_recurrent_conjugator(transports, start, excluded)
+        if w is None:
             live.discard(idx)
             continue
+        v = simple_element(s, w[1], w[0])
         out.append((v, x.conj(v)))
     return out

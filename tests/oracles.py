@@ -488,50 +488,50 @@ def summit_members_exhaustive(st: BraidStructure, x: CanonicalElement, kind: str
     return frozenset(keep)
 
 
-def element_orbit_transports(x: CanonicalElement, kind: str) -> list[list]:
+def element_orbits(x: CanonicalElement, kind: str) -> list[tuple]:
     """
-    For each recurrence order of the kind, ascending, the transport
-    contexts around the closed orbit of x, walked with cyc_q at every
-    order, boundary orders included.
+    For each recurrence order q of the kind, ascending, the pair (q, the
+    closed orbit of x under the order-q cycling), walked with cyc_q at
+    every order, boundary orders included.
     """
     from garside.summit import recurrence_orders
-    from garside.transport import TransportContext
 
     out = []
     for q in recurrence_orders(kind, x):
         rec = _walk(x, q)
         assert rec.entry_index == 0, (x, q)
-        out.append([TransportContext(y, q) for y in rec.elements])
+        out.append((q, rec.elements))
     return out
 
 
-def minimal_conjugator_by_elements(orbits: list[list], u: CanonicalElement, probe=None):
+def minimal_conjugator_by_elements(orbits: list[tuple], u: CanonicalElement, probe=None):
     """
     The two-sweep minimal recurrent conjugator on CanonicalElement values:
-    the element-level push and pull of each context around each orbit of
-    element_orbit_transports, and domination by the general divides above.
-    The reference for the library's sweep on (power, simple) pairs; the
-    probe sees every iterate as an element.
+    the defining formulas phi_definitional and pi_definitional composed
+    around each orbit of element_orbits, and domination by the general
+    divides above.  The reference for the library's sweep on
+    (power, simple) pairs, sharing none of transport.py's steps; the probe
+    sees every iterate as an element.
     """
     stage_inputs = []
     cur = u
-    for contexts in orbits:
+    for q, orbit in orbits:
         stage_inputs.append(cur)
         seen = {cur}
         while True:
-            for ctx in reversed(contexts):
-                cur = ctx.pull(cur)
+            for y in reversed(orbit):
+                cur = pi_definitional(y, q, cur)
             if probe is not None:
                 probe(cur)
             if cur in seen:
                 break
             seen.add(cur)
-    for contexts, entering in zip(reversed(orbits), reversed(stage_inputs)):
+    for (q, orbit), entering in zip(reversed(orbits), reversed(stage_inputs)):
         seen = {cur}
         first_revisit = None
         while True:
-            for ctx in contexts:
-                cur = ctx.push(cur)
+            for y in orbit:
+                cur = phi_definitional(y, q, cur)
             if probe is not None:
                 probe(cur)
             if first_revisit is None:
@@ -557,7 +557,7 @@ def seed_trajectories_by_elements(x: CanonicalElement, kind: str) -> list:
     live atom divides an iterate met while minimising it.
     """
     s = x.struct
-    orbits = element_orbit_transports(x, kind)
+    orbits = element_orbits(x, kind)
     live = set(range(len(s.atoms)))
     out = []
     for idx, atom in enumerate(s.atoms):

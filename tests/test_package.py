@@ -53,6 +53,22 @@ def test_summit_kinds_are_named_in_summit_only():
         assert "recurrence_orders" not in names, module.__name__
 
 
+def test_transport_imports_nothing_from_cycling():
+    # the closed orbits that transports run on are decided once, by the
+    # trajectory closure in cycling.py, and handed to the seed step; the
+    # transport layer takes no cycling step and raises no cycling error
+    tree = ast.parse(Path(garside.transport.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["garside" if node.level else None, node.module]))
+            modules += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    assert modules
+    assert not [m for m in modules if m == "garside.cycling" or m.startswith("garside.cycling.")], modules
+
+
 def test_rigid_stop_is_the_walks_alone():
     # recurrent_representative ends its walk at the first rigid element, so
     # the callers that only ask for recurrence hold no rigidity rule of

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from garside import cycling, transport
+from garside import cycling, summit, transport
 from garside.braid import BraidStructure, braid_structure, parse_word, random_simple
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import (
@@ -29,7 +29,7 @@ from garside.transport import (
 
 from conftest import random_element, random_rigid_element
 from oracles import (
-    element_orbit_transports,
+    element_orbits,
     minimal_conjugator_by_elements,
     phi_definitional,
     pi_definitional,
@@ -39,9 +39,26 @@ from oracles import (
 N_INSTANCES = 1100
 
 
+def orbit_of(x, q):
+    """The closed orbit of the recurrent x under the order-q cycling, from x, walked with cyc_q."""
+    rec = closed_orbit(x, lambda y: cyc_q(y, q))
+    assert rec.entry_index == 0, (x, q)
+    return rec.elements
+
+
+def transports_of(x, orders):
+    """The orbit transports of x at each of orders, on walked orbits."""
+    return [OrbitTransport(orbit_of(x, q), q) for q in orders]
+
+
 def star_transports(x):
     """The orbit transports of x at every order of its refined summit set."""
-    return [OrbitTransport(x, q) for q in recurrence_orders("star", x)]
+    return transports_of(x, recurrence_orders("star", x))
+
+
+def seed_trajectories(x, orders):
+    """The seed step of x on walked orbits."""
+    return transport._seed_trajectories(x, orders, {q: orbit_of(x, q) for q in orders})
 
 
 def as_pair(u):
@@ -51,6 +68,18 @@ def as_pair(u):
 
 def as_element(st, pair):
     return simple_element(st, pair[1], pair[0])
+
+
+def minimal_conjugator(transports, u):
+    """The sweep from the element u, with a stop predicate that never fires, as an element."""
+    st = u.struct
+
+    def never(pair):
+        # a D simple would make a second pair for the same element
+        assert pair[1] != st.delta, pair
+        return False
+
+    return as_element(st, minimal_recurrent_conjugator(transports, as_pair(u), never))
 
 
 def _instances(rng, count, interior_only=False):
@@ -234,10 +263,13 @@ def test_transport_rejects_other_structures():
                         fn(u)
 
 
-def test_orbit_transport_requires_recurrence():
+def test_closure_requires_recurrence():
+    # the trajectory closure is where a key element's orbits are decided,
+    # so it is what raises on a start off its closed orbits
     x = parse_word("2 1 1", 3)  # not order-1 recurrent
+    assert not in_recurrence_set(x, 1)
     with pytest.raises(NotRecurrentError):
-        OrbitTransport(x, 1)
+        cycling._closure_trajectory(x, recurrence_orders("star", x), identity_element(x.struct))
 
 
 def test_orbit_transport_delta_powers(rng):
@@ -246,7 +278,7 @@ def test_orbit_transport_delta_powers(rng):
         st = x.struct
         q = rng.randint(x.inf, x.sup)
         d = as_pair(delta_power(st, rng.randint(-2, 2)))
-        ot = OrbitTransport(x, q)
+        ot = OrbitTransport(orbit_of(x, q), q)
         assert ot.push_around(d) == d
         assert ot.pull_around(d) == d
 
@@ -260,7 +292,7 @@ def test_orbit_push_recurrence_characterization(rng):
         if x.clen == 0:
             continue
         q = rng.randint(x.inf, x.sup)
-        ot = OrbitTransport(x, q)
+        ot = OrbitTransport(orbit_of(x, q), q)
         u = simple_element(st, random_simple(rng, 3), rng.choice([0, 1]))
         recurrent = in_recurrence_set(x.conj(u), q)
         u = as_pair(u)
@@ -289,7 +321,7 @@ def test_orbit_pull_then_push_domination(rng):
         if x.clen == 0:
             continue
         q = rng.randint(x.inf, x.sup)
-        ot = OrbitTransport(x, q)
+        ot = OrbitTransport(orbit_of(x, q), q)
         u = as_pair(simple_element(st, random_simple(rng, 3)))
         seen = {u}
         while True:
@@ -321,7 +353,7 @@ def test_mu_minimality_exhaustive(rng):
         if x.clen == 0:
             continue
         u = simple_element(st, random_simple(rng, n))
-        v = minimal_recurrent_conjugator(star_transports(x), u)
+        v = minimal_conjugator(star_transports(x), u)
         z = x.conj(v)
         assert u.divides(v)
         assert (z.inf, z.sup) == (x.inf, x.sup)
@@ -344,11 +376,11 @@ def test_mu_trivial_cases(rng):
         x = cstar_representative(random_element(rng, rng.choice([3, 4]))).element
         st = x.struct
         transports = star_transports(x)
-        assert minimal_recurrent_conjugator(transports, identity_element(st)) == identity_element(st)
+        assert minimal_conjugator(transports, identity_element(st)) == identity_element(st)
         # if x^u is already everywhere-recurrent with summit bounds, the
         # minimal conjugator above u is u
         u = delta_power(st, rng.randint(-1, 1))
-        assert minimal_recurrent_conjugator(transports, u) == u
+        assert minimal_conjugator(transports, u) == u
 
 
 def test_shared_orbit_transports_match_fresh(rng):
@@ -367,27 +399,34 @@ def test_shared_orbit_transports_match_fresh(rng):
             # the trajectory closure reads its bounds off the two ends
             assert all(a < b for a, b in zip(orders, orders[1:])), (x, kind, orders)
             assert orders[0] == x.inf and orders[-1] == x.sup, (x, kind, orders)
-            shared = [OrbitTransport(x, q) for q in orders]
+            shared = transports_of(x, orders)
             for atom in st.atoms:
                 u = simple_element(st, atom)
-                fresh = [OrbitTransport(x, q) for q in orders]
-                assert minimal_recurrent_conjugator(shared, u) == \
-                    minimal_recurrent_conjugator(fresh, u), (x, kind, atom)
+                fresh = transports_of(x, orders)
+                assert minimal_conjugator(shared, u) == minimal_conjugator(fresh, u), (x, kind, atom)
         checked += 1
 
 
-def test_seed_trajectories_on_delta_powers():
+def test_seed_trajectories_on_delta_powers(monkeypatch):
     # Delta powers form singleton refined summit sets; the covering
-    # contract still holds: every seed reproduces the trajectory {x}
-    st = braid_structure(3)
-    for k in (0, 1, -2):
-        x = delta_power(st, k)
-        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
-        assert seeds
-        for v, z in seeds:
-            assert x.conj(v) == x
-            assert trajectory(z).members == (x,)
-        assert [t.members for t in c_star(x).trajectories] == [(x,)]
+    # contract still holds: every seed reproduces the trajectory {x}.  In
+    # B_2 the one atom is D, which the sweep must get as the pair (1, 1)
+    sweep = transport.minimal_recurrent_conjugator
+
+    def checked(transports, u, stop):
+        assert u[1] != transports[0].x.struct.delta, u
+        return sweep(transports, u, stop)
+
+    monkeypatch.setattr(transport, "minimal_recurrent_conjugator", checked)
+    for st in (braid_structure(2), braid_structure(3)):
+        for k in (0, 1, -2):
+            x = delta_power(st, k)
+            seeds = seed_trajectories(x, recurrence_orders("star", x))
+            assert seeds
+            for v, z in seeds:
+                assert x.conj(v) == x
+                assert trajectory(z).members == (x,)
+            assert [t.members for t in c_star(x).trajectories] == [(x,)]
 
 
 def test_seed_trajectories_cardinality_and_coverage(rng):
@@ -395,7 +434,7 @@ def test_seed_trajectories_cardinality_and_coverage(rng):
         n = rng.choice([3, 4])
         st = braid_structure(n)
         x = cstar_representative(random_element(rng, n, max_len=3)).element
-        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
+        seeds = seed_trajectories(x, recurrence_orders("star", x))
         assert len(seeds) <= len(st.atoms)
         for v, z in seeds:
             traj = trajectory(z)
@@ -412,12 +451,12 @@ def test_seed_trajectories_exclusion_is_safe(rng):
         x = cstar_representative(random_element(rng, n, max_len=3)).element
         if x.clen == 0:
             continue
-        seeds = transport._seed_trajectories(x, recurrence_orders("star", x))
+        seeds = seed_trajectories(x, recurrence_orders("star", x))
         keys_with_rule = {trajectory(z).key_element for _, z in seeds}
         transports = star_transports(x)
 
         def mu(u):
-            return minimal_recurrent_conjugator(transports, u)
+            return minimal_conjugator(transports, u)
 
         all_keys = set()
         for atom in st.atoms:
@@ -466,30 +505,37 @@ def test_summit_sets_keep_the_simple_product_contract(rng):
 
 
 def test_seeded_transports_reuse_the_closure_orbits(rng, monkeypatch):
-    # the seed step of a key element builds its interior-order transports
-    # from the orbits its trajectory's closure walked, and its boundary-order
-    # ones in closed form; each must hold the same orbit elements, in the
-    # same order, as the closed orbit that cycling from scratch walks
-    built = []
+    # the seed step of a key element builds its transport at every order
+    # from the very orbit its trajectory's closure returned; each must hold
+    # the same orbit elements, in the same order, as the closed orbit that
+    # cycling from scratch walks
+    built, returned = [], []
 
     class RecordingOrbitTransport(OrbitTransport):
-        def __init__(self, x, q, orbit=None):
-            super().__init__(x, q, orbit)
-            built.append((self, orbit is not None))
+        def __init__(self, orbit, q):
+            super().__init__(orbit, q)
+            built.append(self)
+
+    def recording_closure(seed, orders, conj):
+        traj, orbits = cycling._closure_trajectory(seed, orders, conj)
+        assert sorted(orbits) == list(orders), (seed, orders)
+        returned.extend(orbits.values())
+        return traj, orbits
 
     monkeypatch.setattr(transport, "OrbitTransport", RecordingOrbitTransport)
+    monkeypatch.setattr(summit, "_closure_trajectory", recording_closure)
     for _ in range(24):
         n = rng.choice([4, 5, 6, 7])
         x = random_element(rng, n, max_len=3)
         for ss in (ultra_summit_set(x), c_star(x)):
             assert ss.verify_witnesses()
-    assert sum(reused for _, reused in built) >= 10
-    for ot, reused in built:
-        walked = closed_orbit(ot.x, lambda y: cyc_q(y, ot.q)).elements
-        assert list(ot.orbit) == list(walked), (ot.x, ot.q)
-        x = ot.x
-        # only interior orders come from a closure, boundary orders never do
-        assert reused == (x.inf < ot.q < x.sup), (x, ot.q)
+    assert sum(ot.x.inf < ot.q < ot.x.sup for ot in built) >= 10
+    assert sum(ot.q in (ot.x.inf, ot.x.sup) for ot in built) >= 10
+    # the returned orbits are all kept alive, so their ids are distinct
+    ids = {id(orbit) for orbit in returned}
+    for ot in built:
+        assert id(ot.orbit) in ids, (ot.x, ot.q)
+        assert ot.orbit == orbit_of(ot.x, ot.q), (ot.x, ot.q)
 
 
 def test_transport_sweep_divides_short_elements(rng, monkeypatch):
@@ -538,34 +584,28 @@ def test_pair_sweep_matches_the_element_oracle(case):
     # step's (v, x^v) list with atom exclusion on
     x, kind = case
     st = x.struct
-    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
-    orbits = element_orbit_transports(x, kind)
-
-    def never(pair):
-        # a D simple would make a second pair for the same element
-        assert pair[1] != st.delta, pair
-        return False
-
+    orders = recurrence_orders(kind, x)
+    transports = transports_of(x, orders)
+    orbits = element_orbits(x, kind)
     for m in (-1, 0, 1):
         for atom in st.atoms:
             u = simple_element(st, atom, m)
             expected = minimal_conjugator_by_elements(orbits, u)
-            assert minimal_recurrent_conjugator(transports, u, never) == expected, (x, kind, u)
-    seeds = transport._seed_trajectories(x, recurrence_orders(kind, x))
-    assert seeds == seed_trajectories_by_elements(x, kind)
+            assert minimal_conjugator(transports, u) == expected, (x, kind, u)
+    assert seed_trajectories(x, orders) == seed_trajectories_by_elements(x, kind)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_cases())
 def test_sweep_stop_predicate(case):
-    # a stop predicate that never fires leaves the sweep's answer as it is;
-    # one that fires on the first iterate it is asked about ends the sweep
-    # there with None
+    # a stop predicate that never fires is asked about every iterate and
+    # lets the sweep answer a pair above u; one that fires on the first
+    # iterate it is asked about ends the sweep there with None
     x, kind = case
     st = x.struct
-    transports = [OrbitTransport(x, q) for q in recurrence_orders(kind, x)]
+    transports = transports_of(x, recurrence_orders(kind, x))
     for atom in st.atoms:
-        u = simple_element(st, atom)
+        u = (0, atom)
         asked = []
 
         def never(pair):
@@ -576,8 +616,8 @@ def test_sweep_stop_predicate(case):
             asked.append(pair)
             return True
 
-        assert minimal_recurrent_conjugator(transports, u, never) == \
-            minimal_recurrent_conjugator(transports, u), (x, kind, u)
+        v = minimal_recurrent_conjugator(transports, u, never)
+        assert v is not None and transport._dominates(st, u, v), (x, kind, u, v)
         assert asked
         asked.clear()
         assert minimal_recurrent_conjugator(transports, u, first) is None, (x, kind, u)
@@ -601,11 +641,13 @@ def test_rigid_seed_on_the_ultra_orders_matches_the_all_orders_oracle(seed, n):
 
 
 def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
-    # at q <= inf x the orbit is the tau^q-orbit of x, at q >= sup x the
-    # fixed point x: built with no cycling step, they list the elements
-    # that cycling walks
-    def no_cycling(x, step):
-        raise AssertionError(f"walked an orbit of {x} at a boundary order")
+    # the trajectory closure returns its key element's orbit at inf, the
+    # tau^inf-orbit, and at sup, the fixed point, with no cycling step at
+    # either order; they list the elements that cycling walks.  At
+    # inf = sup the tau^inf-orbit is the one returned
+    def interior_only(y, q):
+        assert y.inf < q < y.sup, f"cycled {y} at the boundary order {q}"
+        return cyc_q(y, q)
 
     b2, b4 = braid_structure(2), braid_structure(4)
     assert b2.order_of_tau == 1
@@ -615,29 +657,19 @@ def test_boundary_orbits_take_the_closed_form(rng, monkeypatch):
     xs += tau_fixed + [delta_power(b4, k) for k in (-2, 0, 1)] + [identity_element(b4)]
     xs += [random_element(rng, rng.randint(2, 6), max_len=3) for _ in range(40)]
     assert any(x.clen == 0 for x in xs) and any(x.tau_pow(1) != x for x in xs)
+    keys = []
     for x in xs:
-        orders = [*range(x.inf - 2, x.inf + 1), *range(x.sup, x.sup + 3)]
-        with monkeypatch.context() as patch:
-            patch.setattr(transport, "closed_orbit", no_cycling)
-            built = [OrbitTransport(x, q) for q in orders]
-        for ot in built:
-            walked = closed_orbit(x, lambda y: cyc_q(y, ot.q)).elements
-            assert list(ot.orbit) == list(walked), (x, ot.q)
-
-
-def test_minimal_conjugator_validates_its_argument():
-    # the sweep converts u to a pair once, on entry, where it raises as
-    # push and pull do on an element of another structure or canonical
-    # length above 1
-    x = cstar_representative(parse_word("1 2 2 1 2", 3)).element
-    transports = star_transports(x)
-    for u in (parse_word("1", 4), delta_power(braid_structure(4), 1)):
-        with pytest.raises(ValueError, match="different structures"):
-            minimal_recurrent_conjugator(transports, u)
-    long_u = parse_word("1 1", 3)
-    assert long_u.clen == 2
-    with pytest.raises(ValueError, match="canonical length"):
-        minimal_recurrent_conjugator(transports, long_u)
+        y = cstar_representative(x).element
+        for orders in (sorted({y.inf, y.sup}), recurrence_orders("star", y)):
+            with monkeypatch.context() as patch:
+                patch.setattr(cycling, "cyc_q", interior_only)
+                traj, orbits = cycling._closure_trajectory(y, orders, identity_element(y.struct))
+            key = traj.key_element
+            keys.append(key)
+            assert sorted(orbits) == orders, (y, orders)
+            for q in {y.inf, y.sup}:
+                assert orbits[q] == orbit_of(key, q), (key, q)
+    assert any(k.clen == 0 for k in keys) and any(k.tau_pow(k.inf) != k for k in keys)
 
 
 def test_orbit_walk_from_a_start_that_is_not_recurrent():
@@ -648,7 +680,3 @@ def test_orbit_walk_from_a_start_that_is_not_recurrent():
         cycling._walk_orbit(a, {a: b, b: c, c: b})
     assert cycling._walk_orbit(a, {a: b, b: c, c: a}) == (a, b, c)
     assert cycling._walk_orbit(a, {a: a}) == (a,)
-    # and a seed step from an element off its closed orbits still raises
-    x = parse_word("2 1 1", 3)
-    with pytest.raises(NotRecurrentError):
-        transport._seed_trajectories(x, recurrence_orders("star", x))
