@@ -21,7 +21,11 @@ orders, read once per closure off the representative, whose bounds every
 member shares, and the trajectory closure and the seed step below it take
 that list.  A class whose representative is rigid has one refined and
 ultra summit set, so its refined closure runs on the ultra orders (see
-_summit_closure).
+_summit_closure).  A closure that computes an ultra summit set hands each
+seed step only the atoms below iota(y) or iota(y^{-1}) of its key
+element y, since every minimal simple conjugator inside that set is a
+prefix of one of the two (see _arrow_atoms); every other closure hands it
+every atom.
 
 Budget guards (wall clock and set size) let callers abort computations that
 explode, which reducible braids routinely make the ultra summit set do.
@@ -176,6 +180,50 @@ class _Budget:
             raise BudgetExceeded(self.kind, (_clock() - self.start) * 1000.0, self.size)
 
 
+def _arrow_atoms(y: CanonicalElement) -> list[int]:
+    """
+    The indices of the atoms that divide iota(y) = tau^{-inf y}(y_1) or
+    iota(y^{-1}) = rc(y_l), for y = D^p y_1...y_l in its ultra summit set
+    with l >= 1: the atoms the seed step of y sweeps in an ultra closure.
+
+    Call a simple s != 1 with y^s in the ultra summit set indecomposable
+    when no proper prefix t != 1 of s has y^t in it.  Every indecomposable
+    s is a prefix of iota(y) or of iota(y^{-1}): the black and grey arrows
+    of Birman, Gebhardt and Gonzalez-Meneses, "Conjugacy in Garside groups
+    II: structure of the ultra summit set", 2008.  The set is connected by
+    indecomposable conjugators, so the closure needs, for each
+    indecomposable s of y, only the trajectory of y^s.  An atom a below an
+    indecomposable s has s as its minimal conjugator c_a, so a divides
+    iota(y) or iota(y^{-1}), and the filter keeps it.
+
+    Exclusion stays sound.  Let G be the simple conjugators of y into its
+    ultra summit set.  An orbit transport of y maps G into G, since cycling
+    and tau keep the set, and preserves divisibility; each c in G comes
+    back to itself after finitely many rounds (see transport), so the
+    transport permutes G, its inverse is a power of it, and it maps
+    indecomposables to indecomposables.  The pullback is the pushforward's
+    adjoint, so the pullback of a pair below c in G divides the transport's
+    preimage of c, and the pushforward of such a pair divides the image of
+    c.  Starting from a below c_a, every iterate of the sweep of an atom a
+    with c_a indecomposable therefore divides an indecomposable g(c_a),
+    the image of c_a under some product of these permutations and their
+    inverses, and g(c_a) is a simple: the D-power rule never fires for a,
+    and an atom b that excludes a divides g(c_a), so c_b is g(c_a),
+    indecomposable.  The atoms with indecomposable conjugators are thus
+    excluded only by one another, all divide iota(y) or iota(y^{-1}), and
+    are swept in the same ascending order with or without the filter:
+    their sweeps, exclusions and surviving pairs are the unfiltered ones.
+    No exclusion loses a trajectory either: y^{phi(c)} is a cycling image
+    of y^c (the square identity of transport), so y^{g(c_a)} lies in the
+    trajectory of y^{c_a}, which the survivor ending a chain of
+    exclusions reaches.
+    """
+    s = y.struct
+    first = s.tau_pow(y.factors[0], -y.power)
+    last = s.right_complement(y.factors[-1])
+    return [j for j in range(len(s.atoms)) if s.atom_divides(j, first) or s.atom_divides(j, last)]
+
+
 def _summit_closure(
     x: CanonicalElement,
     kind: str,
@@ -205,9 +253,19 @@ def _summit_closure(
     already, [inf, sup] or [inf, inf + 1, sup], so the rule changes the
     list only at canonical length >= 3, inside the theorem's range, and
     needs no length test of its own.
+
+    A closure on the ultra orders of a y0 of positive canonical length
+    computes an ultra summit set, so its seed steps sweep only the atoms
+    below iota(y) or iota(y^{-1}) of each key element y (_arrow_atoms).
+    That covers the ultra kind, the refined closure of a rigid class, the
+    refined closure at canonical length <= 2 and the super closure at
+    canonical length 1, whose lists of orders are the ultra ones.  Every
+    other closure sweeps every atom.
     """
     y0, w0 = rep.element, rep.witness
     orders = recurrence_orders("ultra" if kind == "star" and is_rigid(y0) else kind, y0)
+    arrows = y0.clen > 0 and orders == recurrence_orders("ultra", y0)
+    every_atom = range(len(y0.struct.atoms))
 
     witnesses: dict[CanonicalElement, CanonicalElement] = {}
     # only the star kind returns its trajectories, so only it keeps them
@@ -232,7 +290,8 @@ def _summit_closure(
         budget.count()
         y, orbits = queue.pop()
         wy = witnesses[y]
-        for conj, z in _seed_trajectories(y, orders, orbits):
+        atoms = _arrow_atoms(y) if arrows else every_atom
+        for conj, z in _seed_trajectories(y, orders, orbits, atoms):
             budget.count()
             # trajectories partition the set, so a known z means a known
             # trajectory, and its conjugator is only multiplied out when new

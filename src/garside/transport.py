@@ -287,32 +287,36 @@ def _seed_trajectories(
     x: CanonicalElement,
     orders: Sequence[int],
     orbits: Mapping[int, Sequence[CanonicalElement]],
+    atoms: Sequence[int],
 ) -> list[tuple[CanonicalElement, CanonicalElement]]:
     """
     The seed step of the summit closures of every kind.  Returns (v, x^v)
-    pairs, one per surviving atom, where v is the minimal conjugator above
-    the atom that makes x^v recurrent at every one of orders, an ascending
-    list from inf x to sup x, and builds one orbit transport of x per order
-    for all atoms.  The trajectories of the x^v cover every
-    minimal-conjugator successor trajectory of x inside the set of
-    conjugates recurrent at those orders, so there are at most as many as
-    atoms.  No trajectory is built here: the caller closes the ones it has
-    not seen yet.
+    pairs, one per surviving swept atom, where v is the minimal conjugator
+    above the atom that makes x^v recurrent at every one of orders, an
+    ascending list from inf x to sup x, and builds one orbit transport of
+    x per order for all atoms.  atoms lists, ascending, the indices into
+    x.struct.atoms of the atoms to sweep, which the caller chooses; no
+    other atom is swept or excludes one.  The trajectories of the x^v
+    cover every minimal-conjugator successor trajectory of x inside the
+    set of conjugates recurrent at those orders whose conjugator lies above
+    a swept atom, so there are at most as many as swept atoms.  No
+    trajectory is built here: the caller closes the ones it has not seen
+    yet.
 
     orbits holds the closed orbit of x at each of orders, starting at x,
     as the closure of the trajectory of x returns them.
 
-    An atom is dropped as soon as another still-live atom divides one of
-    the transport iterates produced while minimizing it: the sweep's stop
-    predicate answers True there and the sweep returns None.  The
+    An atom is dropped as soon as another still-live swept atom divides one
+    of the transport iterates produced while minimizing it: the sweep's
+    stop predicate answers True there and the sweep returns None.  The
     surviving atoms' trajectories cover the dropped ones.
     """
     s = x.struct
     transports = [OrbitTransport(orbits[q], q) for q in orders]
-    atoms = s.atoms
-    live = set(range(len(atoms)))
+    live = set(atoms)
     out: list[tuple[CanonicalElement, CanonicalElement]] = []
-    for idx, atom in enumerate(atoms):
+    for idx in atoms:
+        atom = s.atoms[idx]
         others = [j for j in sorted(live) if j != idx]
 
         def excluded(w: Pair) -> bool:

@@ -27,7 +27,12 @@ from garside.summit import (
 )
 
 from conftest import random_element, random_rigid_element
-from oracles import conjugation_components, cstar_summit_bounds, summit_members_exhaustive
+from oracles import (
+    conjugation_components,
+    cstar_summit_bounds,
+    simple_divides,
+    summit_members_exhaustive,
+)
 
 
 def test_summit_bounds_examples():
@@ -616,3 +621,143 @@ def test_only_rigid_star_closures_run_on_the_ultra_orders(rng, monkeypatch):
         kinds.add((kind, y0.clen >= 3))
         assert seen and all(orders == summit.recurrence_orders(kind, y0) for orders in seen), x
     assert kinds >= {("ultra", True), ("star", True)}
+
+
+def iota_pair_by_products(x):
+    """iota(x) and iota(x^-1), as the first factors of x D^{-inf x} and of x^-1 D^{-inf x^-1}."""
+    st = x.struct
+    y = x.inv()
+    return (x * delta_power(st, -x.inf)).factors[0], (y * delta_power(st, -y.inf)).factors[0]
+
+
+def arrow_atoms_by_products(x):
+    """The atoms below iota(x) or iota(x^-1) as start pairs, by the products and the norm test."""
+    st = x.struct
+    first, last = iota_pair_by_products(x)
+    return [(0, a) for a in st.atoms if simple_divides(st, a, first) or simple_divides(st, a, last)]
+
+
+def every_atom_start(st):
+    """Every atom as a start pair; the one atom of B_2 is D, the pair (1, identity)."""
+    return [(1, st.identity) if a == st.delta else (0, a) for a in st.atoms]
+
+
+def test_iota_conventions_match_the_products(rng):
+    # iota(x) = tau^{-inf x}(x_1) and iota(x^-1) = rc(x_l), read off the
+    # normal form of x, against the products that derive them without the
+    # seed filter; an untwisted x_1 differs whenever inf x is odd
+    infs = set()
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        st = braid_structure(n)
+        x = random_element(rng, n, max_len=4, min_len=1, min_power=-3, max_power=3)
+        if x.clen == 0:
+            continue
+        first, last = iota_pair_by_products(x)
+        assert st.tau_pow(x.factors[0], -x.inf) == first, x
+        assert st.right_complement(x.factors[-1]) == last, x
+        assert [(0, st.atoms[j]) for j in summit._arrow_atoms(x)] == arrow_atoms_by_products(x), x
+        infs.add(x.inf % 2)
+    assert infs == {0, 1}
+
+
+def every_atom_seed_step(y, orders, orbits, atoms):
+    """The seed step with the closure's atom list replaced by every atom."""
+    return transport._seed_trajectories(y, orders, orbits, range(len(y.struct.atoms)))
+
+
+@hs.composite
+def arrow_filtered_closures(draw):
+    """
+    An element of B_3..B_9 whose summit inf has a drawn parity, with a kind
+    whose closure seeds from the arrow atoms: the ultra kind, the refined
+    kind of a rigid class or at canonical length <= 2, the super kind at
+    canonical length <= 1.  A seeded generator, since drawing until an
+    element is rigid takes many draws.
+    """
+    rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
+    n = draw(hs.integers(3, 9))
+    case = draw(hs.sampled_from(["ultra", "rigid star", "short star", "short super"]))
+    if case == "rigid star":
+        x = random_rigid_element(rng, n, max_len=5, min_clen=2)
+    else:
+        max_len = {"ultra": 4, "short star": 2, "short super": 1}[case]
+        x = random_element(rng, n, max_len=max_len, min_len=1)
+    if summit_bounds(x)[0] % 2 != draw(hs.integers(0, 1)):
+        x = delta_power(x.struct, 1) * x
+    return x, case.split()[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrow_filtered_closures())
+def test_arrow_filter_matches_the_every_atom_closure(case):
+    # the closures that seed only from the atoms below iota(y) or
+    # iota(y^-1) against the same closures sweeping every atom: the same
+    # members and trajectories, and witnesses that verify in both
+    x, kind = case
+    filtered = summit_set(x, kind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summit, "_seed_trajectories", every_atom_seed_step)
+        full = summit_set(x, kind)
+    assert filtered.members == full.members, (x, kind)
+    if kind == "star":
+        assert {t.members for t in filtered.trajectories} == {t.members for t in full.trajectories}, x
+    assert filtered.verify_witnesses() and full.verify_witnesses(), (x, kind)
+
+
+def test_arrow_filter_scope(rng, monkeypatch):
+    # the start pairs of every seed step's sweeps: the atoms below iota(y)
+    # or iota(y^-1) of its key element y when the closure computes an ultra
+    # summit set, and every atom for super closures of canonical length
+    # >= 2, refined closures of non-rigid classes of canonical length >= 3
+    # and Delta powers
+    steps = []
+    sweep = transport.minimal_recurrent_conjugator
+    seed_step = transport._seed_trajectories
+
+    def spying_sweep(transports, u, stop):
+        steps[-1][1].append(u)
+        return sweep(transports, u, stop)
+
+    def spying_seed_step(y, orders, orbits, atoms):
+        steps.append((y, []))
+        return seed_step(y, orders, orbits, atoms)
+
+    monkeypatch.setattr(transport, "minimal_recurrent_conjugator", spying_sweep)
+    monkeypatch.setattr(summit, "_seed_trajectories", spying_seed_step)
+
+    def seed_steps(x, kind):
+        steps.clear()
+        summit_set(x, kind)
+        assert steps, (x, kind)
+        return list(steps)
+
+    for st in (braid_structure(2), braid_structure(3), braid_structure(4)):
+        for k in (0, 1, -2, 3):
+            for kind in ("super", "ultra", "star"):
+                for y, starts in seed_steps(delta_power(st, k), kind):
+                    assert starts == every_atom_start(st), (k, kind)
+    unfiltered = {"super": 0, "star": 0}
+    filtered = {"ultra": 0, "star": 0}
+    fewer = 0
+    while min(unfiltered.values()) < 8 or min(filtered.values()) < 8:
+        n = rng.randint(3, 7)
+        rigid = rng.random() < 0.3
+        x = random_rigid_element(rng, n, max_len=5, min_clen=3) if rigid else random_element(rng, n, max_len=5, min_len=2)
+        y0 = cstar_representative(x).element
+        clen = y0.clen
+        if clen >= 2 and unfiltered["super"] < 8:
+            unfiltered["super"] += 1
+            for y, starts in seed_steps(x, "super"):
+                assert starts == every_atom_start(y.struct), x
+        if clen >= 3 and not is_rigid(y0) and unfiltered["star"] < 8:
+            unfiltered["star"] += 1
+            for y, starts in seed_steps(x, "star"):
+                assert starts == every_atom_start(y.struct), x
+        for kind in ("ultra", "star") if is_rigid(y0) and clen >= 3 else ("ultra",):
+            if clen >= 1 and filtered[kind] < 8:
+                filtered[kind] += 1
+                for y, starts in seed_steps(x, kind):
+                    assert starts == arrow_atoms_by_products(y), (x, kind, y)
+                    fewer += len(starts) < len(y.struct.atoms)
+    assert fewer

@@ -56,9 +56,15 @@ def star_transports(x):
     return transports_of(x, recurrence_orders("star", x))
 
 
+def every_atom(st):
+    """The indices of every atom of the structure, the seed step's unfiltered list."""
+    return range(len(st.atoms))
+
+
 def seed_trajectories(x, orders):
-    """The seed step of x on walked orbits."""
-    return transport._seed_trajectories(x, orders, {q: orbit_of(x, q) for q in orders})
+    """The seed step of x on walked orbits, sweeping every atom."""
+    orbits = {q: orbit_of(x, q) for q in orders}
+    return transport._seed_trajectories(x, orders, orbits, every_atom(x.struct))
 
 
 def as_pair(u):
@@ -636,7 +642,7 @@ def test_rigid_seed_on_the_ultra_orders_matches_the_all_orders_oracle(seed, n):
     orders = recurrence_orders("ultra", y)
     assert is_rigid(y) and len(orders) < len(recurrence_orders("star", y))
     _, orbits = cycling._closure_trajectory(y, orders, identity_element(y.struct))
-    seeds = transport._seed_trajectories(y, orders, orbits)
+    seeds = transport._seed_trajectories(y, orders, orbits, every_atom(y.struct))
     assert seeds == seed_trajectories_by_elements(y, "star"), y
 
 
