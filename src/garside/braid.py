@@ -2,10 +2,20 @@
 braid: the classical Garside structure of the braid group B_n.
 
 Simple elements are permutations of {1..n}, stored as 0-indexed image
-tables (tuples), so composition is a table lookup and never requires
-enumerating the n! simples.  The product convention is "apply left factor
-first": (a*b)(i) = b(a(i)), which makes the map braid -> permutation a
+tables, so composition is a table lookup and never requires enumerating
+the n! simples.  The product convention is "apply left factor first":
+(a*b)(i) = b(a(i)), which makes the map braid -> permutation a
 homomorphism when braid words are read left to right.
+
+A table is a bytes object while a byte holds its entries (n <= 256) and a
+tuple of ints above that.  Each structure builds every table it returns
+with one constructor, so one structure never mixes the two types, which
+compare unequal.  A bytes table iterates and indexes as ints and sorts
+like the tuple of ints it replaces, so member order, key elements and
+witnesses do not depend on the type.  Unlike a tuple, it caches its hash
+and compares with memcmp: a hit on a table keyed by pairs of simples took
+161 / 230 / 374 ns with tuple handles against 65 / 67 / 67 ns with bytes
+(n = 5 / 10 / 20, 200 keys, Python 3.11.7).
 
 Divisibility matches the weak order on permutations: a left-divides b
 exactly when the inversion set of a is contained in that of b, and an atom
@@ -41,26 +51,30 @@ import random
 
 from .core import CanonicalElement, GarsideStructure, delta_power, identity_element, simple_element
 
-# A simple element of B_n: the image table of a permutation of {0..n-1}.
-PermSimple = tuple[int, ...]
+# A simple element of B_n: the image table of a permutation of {0..n-1},
+# as bytes when n <= 256 and as a tuple of ints above (see _table_type).
+PermSimple = bytes | tuple[int, ...]
 
 # Entries per memo table, kernel and step tables alike.  For the ultra and
-# C* sets of 30 test-3 braids of B_20 (l=5), 82,908 meet calls needed 13,105
-# sweeps with unbounded tables and 13,886 with this cap, at a peak RSS of
-# 24.6 MB against 19.5 MB (16.5 MB with no memo; Python 3.11.7).  On the
-# first pass over the fixed operation prefixes of the three benchmark
-# workloads (seed 3), unbounded step tables end with 305 - 8,197 entries for
-# the transport steps and up to 18,704 for slide (B_10 queries), which also
-# serves the pushforward's b-chain.  With this cap the same prefixes make at
-# most 3% more kernel calls (meet, join, mul, left_quotient and
-# right_complement) than with unbounded tables (55,276 against 53,843 in
-# B_20, 124,073 against 122,156 on the queries), while a cap of 8,192 took
-# the in-process peak RSS of the B_20 prefix from 25.1 to 32.0 MB.
+# C* sets of 30 test-3 braids of B_20 (l=5, random.Random(2026)), 8,412 meet
+# calls needed 4,616 sweeps with unbounded tables, 4,676 with this cap and
+# 22,969 with a cap of 0, at an in-process peak RSS of 27.5, 24.3 and
+# 22.7 MB with bytes tables (32.3, 26.4 and 22.7 MB with the tuple tables
+# they replaced; Python 3.11.7).  On the first pass over the fixed
+# operation prefixes of the three benchmark workloads (seed 3), unbounded
+# step tables end with 305 - 8,197 entries for the transport steps and up
+# to 18,704 for slide (B_10 queries), which also serves the pushforward's
+# b-chain.  With this cap the same prefixes make at most 3% more kernel
+# calls (meet, join, mul, left_quotient and right_complement) than with
+# unbounded tables (55,276 against 53,843 in B_20, 124,073 against 122,156
+# on the queries), while a cap of 8,192 took the in-process peak RSS of
+# the B_20 prefix from 24.6 to 26.6 MB and of the queries prefix from 24.7
+# to 29.8 MB (26.7 to 31.1 and 27.0 to 34.8 MB with tuple tables).
 # Clearing whole keeps a table half full on average, where
 # least-recently-used eviction keeps it at the cap: with per-instance
-# functools.lru_cache tables the in-process peak RSS of the generic-b20 and
-# queries prefixes went from 26.6 to 29.7 MB and from 26.8 to 30.7 MB
-# (medians of five).
+# functools.lru_cache tables of tuples the in-process peak RSS of the
+# generic-b20 and queries prefixes went from 26.6 to 29.7 MB and from 26.8
+# to 30.7 MB (medians of five).
 _CACHE_CAP = 2048
 
 
@@ -86,27 +100,40 @@ class _Memo(dict):
         return value
 
 
+def _table_type(n: int) -> type:
+    """
+    The type of the image tables of B_n: bytes while a byte holds the
+    largest entry, n - 1, and tuple above.  The only choice made on n.
+    """
+    return bytes if n <= 256 else tuple
+
+
 class BraidStructure(GarsideStructure):
-    """Classical Garside structure on B_n; hashable and compared by n."""
+    """
+    Classical Garside structure on B_n; hashable and compared by n.  Its
+    simples are image tables of the one type _table_type(n), and every
+    table it returns is built by that constructor, self._table.
+    """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("braid groups need at least 2 strands")
         self.n = n
-        self.identity: PermSimple = tuple(range(n))
-        self.delta: PermSimple = tuple(range(n - 1, -1, -1))
+        table = self._table = _table_type(n)
+        self.identity: PermSimple = table(range(n))
+        self.delta: PermSimple = table(range(n - 1, -1, -1))
         self.atoms = tuple(self._transposition(k) for k in range(n - 1))
         self.order_of_tau = 1 if n == 2 else 2
         self.delta_norm = n * (n - 1) // 2
         self._values = frozenset(range(n))
         m = n - 1
         # the kernel tables; meet and join answer their shortcuts first.  A
-        # simple is a tuple, so a table of one simple is keyed by the simple
-        # itself and its function takes the simple's entries: a 1-tuple key
-        # would cost 60 ns per hit and 64 bytes per entry (Python 3.11.7).
+        # table of one simple is keyed by the simple itself, and its function
+        # takes the simple's entries: a 1-tuple key would cost 60 ns per hit
+        # and 64 bytes per entry (Python 3.11.7).
         self._inverses = _Memo(self._inverse)
-        self._complements = _Memo(lambda *a: tuple(m - v for v in self.inverse_table(a)))
-        self._taus = _Memo(lambda *a: tuple(m - v for v in reversed(a)))
+        self._complements = _Memo(self._complement)
+        self._taus = _Memo(lambda *a: table([m - v for v in reversed(a)]))
         self._meets = _Memo(self._meet)
         self._joins = _Memo(self._join)
         # the generic steps, so the kernel is only called on a step miss
@@ -118,7 +145,7 @@ class BraidStructure(GarsideStructure):
     def _transposition(self, k: int) -> PermSimple:
         t = list(range(self.n))
         t[k], t[k + 1] = t[k + 1], t[k]
-        return tuple(t)
+        return self._table(t)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BraidStructure) and other.n == self.n
@@ -137,8 +164,9 @@ class BraidStructure(GarsideStructure):
     # -- primitive table operations -------------------------------------
 
     def mul(self, a: PermSimple, b: PermSimple) -> PermSimple:
-        # n >= 2, so itemgetter always returns a tuple
-        return operator.itemgetter(*a)(b)
+        # n >= 2, so itemgetter always returns a tuple of ints, which the
+        # table constructor turns into a handle
+        return self._table(operator.itemgetter(*a)(b))
 
     def inverse_table(self, a: PermSimple) -> PermSimple:
         return self._inverses[a]
@@ -147,7 +175,17 @@ class BraidStructure(GarsideStructure):
         inv = [0] * self.n
         for i, v in enumerate(a):
             inv[v] = i
-        return tuple(inv)
+        return self._table(inv)
+
+    def _complement(self, *a: int) -> PermSimple:
+        # rc(a) = a^{-1} D, so rc(a)(a(i)) = n - 1 - i.  Read off a itself:
+        # its entries arrive as a tuple of ints, which is no handle of a
+        # bytes structure, so the inverse table cannot be asked for it.
+        m = self.n - 1
+        rc = [0] * self.n
+        for i, v in enumerate(a):
+            rc[v] = m - i
+        return self._table(rc)
 
     def left_quotient(self, a: PermSimple, b: PermSimple) -> PermSimple:
         return self.mul(self.inverse_table(a), b)
@@ -221,7 +259,7 @@ class BraidStructure(GarsideStructure):
         out = [0] * self.n
         for i, v in enumerate(minv):
             out[v] = i
-        return tuple(out)
+        return self._table(out)
 
     def join(self, a: PermSimple, b: PermSimple) -> PermSimple:
         """
@@ -276,25 +314,31 @@ class BraidStructure(GarsideStructure):
                 todo &= ~(closed | low)
             rows[i] = row
         avail = list(range(n))
-        return tuple([avail.pop(row.bit_count()) for row in rows])
+        return self._table([avail.pop(row.bit_count()) for row in rows])
 
     def atom_divides(self, k: int, a: PermSimple) -> bool:
         """Whether the atom s_{k+1} left-divides the simple a."""
         return a[k] > a[k + 1]
 
-    def is_simple(self, a: object) -> bool:
-        """Whether a is a tuple of ints that permutes range(n)."""
+    def as_simple(self, a: object) -> PermSimple:
+        """
+        The handle of a, a tuple or bytes of ints that permutes range(n);
+        ValueError for anything else.  A handle of this structure comes back
+        as it is.
+        """
         try:
             # an unhashable entry raises TypeError, and a float equal to an
             # int passes the set test but makes the sum a float
-            return (
-                isinstance(a, tuple)
+            if (
+                isinstance(a, (tuple, bytes))
                 and len(a) == self.n
                 and set(a) == self._values
                 and type(sum(a)) is int
-            )
+            ):
+                return self._table(a)
         except TypeError:
-            return False
+            pass
+        raise ValueError(f"{a!r} is not a simple element of {self!r}")
 
     # -- memoised steps ------------------------------------------------------
     # One-line methods rather than tables with a __call__ method, which is
@@ -399,4 +443,4 @@ def random_simple(rng: random.Random, n: int) -> PermSimple:
     while True:
         rng.shuffle(table)
         if any(table[i] != i for i in range(n)):
-            return tuple(table)
+            return _table_type(n)(table)

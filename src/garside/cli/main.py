@@ -34,6 +34,23 @@ EXIT_BUDGET = 3
 
 RNG_NAME = "random.Random (Mersenne Twister)"
 
+# The largest --n accepted, checked while the arguments are parsed, before
+# any structure is built.  B_n builds its n - 1 atoms eagerly, and above 256
+# strands each is a tuple of n ints, so memory grows as n^2: `nf --n 1000
+# "1"` peaks at 46 MB (Python 3.11.7), and `nf --n 100000 "1"` was killed
+# for exhausting memory before this bound existed.
+MAX_STRANDS = 1000
+
+
+def _strand_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_STRANDS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_STRANDS} strands are supported, got {n}")
+    return n
+
 
 def _factors_payload(x: CanonicalElement) -> list[list[int]]:
     return [perm_to_one_indexed(f) for f in x.factors]
@@ -201,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     strands = argparse.ArgumentParser(add_help=False)
-    strands.add_argument("--n", type=int, required=True, help="strand count")
+    strands.add_argument("--n", type=_strand_count, required=True,
+                         help=f"strand count, at most {MAX_STRANDS}")
     common = argparse.ArgumentParser(add_help=False, parents=[strands])
     common.add_argument("--json", action="store_true", help="machine-readable output")
 

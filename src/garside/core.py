@@ -54,6 +54,13 @@ class GarsideStructure(abc.ABC):
     handles: the order of the handles fixes the member order of every
     summit set, each trajectory's key element, the order in which the
     summit closures seed, and so the witnesses they assign.
+
+    A structure gives each simple one handle of one type, and every handle
+    that a method returns is of that type: two handles of one simple that
+    differ in type, such as a tuple and bytes with the same entries,
+    compare unequal, and the normal form would then keep a factor it should
+    absorb.  Raw forms enter only through as_simple, which normalize
+    applies to every letter.
     """
 
     identity: Simple
@@ -91,8 +98,11 @@ class GarsideStructure(abc.ABC):
         """Number of atoms in any atom decomposition of the simple."""
 
     @abc.abstractmethod
-    def is_simple(self, a: object) -> bool:
-        """Whether a is a handle of a simple element of this structure."""
+    def as_simple(self, a: object) -> Simple:
+        """
+        The structure's handle for a, which is a handle or a raw form of a
+        simple element that the structure accepts; ValueError otherwise.
+        """
 
     def atom_divides(self, k: int, a: Simple) -> bool:
         """Whether the k-th atom left-divides the simple a."""
@@ -327,15 +337,13 @@ def normalize(struct: GarsideStructure, power: int, word: Iterable[Simple]) -> C
 
     Identity letters are absorbed and D letters migrate into the leading
     power; the function is idempotent on already-normal input.  This is the
-    constructor from raw words, so it raises ValueError on a letter that is
-    not a simple of the structure.  The letters are multiplied in one at a
+    constructor from raw words, so it maps each letter to the structure's
+    handle with as_simple, which raises ValueError on a letter that is not
+    a simple of the structure.  The letters are multiplied in one at a
     time (_right_multiply), with no early stop, since a raw word need not be
     weighted.
     """
-    word = list(word)
-    for f in word:
-        if not struct.is_simple(f):
-            raise ValueError(f"{f!r} is not a simple element of {struct!r}")
+    word = [struct.as_simple(f) for f in word]
     dp, out = _right_multiply(struct, (), word, False)
     return CanonicalElement(struct, power + dp, out)
 

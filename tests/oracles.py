@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from garside.braid import BraidStructure
+from garside.braid import BraidStructure, braid_structure
 from garside.core import (
     CanonicalElement,
+    GarsideStructure,
     delta_power,
     identity_element,
     normalize,
@@ -120,10 +121,11 @@ def pi_definitional(x: CanonicalElement, q: int, u: CanonicalElement) -> Canonic
     )
 
 
-def sweep_meet(a: tuple, b: tuple) -> tuple:
+def sweep_meet(a, b):
     """
     Left gcd of two permutation tables by the greedy common-descent sweep,
     without any memo or shortcut: the reference for the lattice kernel.
+    The result has the type of a.
     """
     n = len(a)
     va, vb = list(a), list(b)
@@ -146,19 +148,20 @@ def sweep_meet(a: tuple, b: tuple) -> tuple:
     out = [0] * n
     for i, v in enumerate(minv):
         out[v] = i
-    return tuple(out)
+    return type(a)(out)
 
 
-def sweep_join(a: tuple, b: tuple) -> tuple:
+def sweep_join(a, b):
     """
     Left lcm of two permutation tables through the sweep meet on
     complemented tables: the reference for the lattice kernel's bitset join.
+    The result has the type of a.
     """
     # w0 o p complements the inversion set, turning joins into meets.
     m = len(a) - 1
     ca = tuple(m - v for v in a)
     cb = tuple(m - v for v in b)
-    return tuple(m - v for v in sweep_meet(ca, cb))
+    return type(a)(m - v for v in sweep_meet(ca, cb))
 
 
 # The transport chain steps and the normal form's slide, each written out
@@ -240,21 +243,25 @@ def weight_factors(struct, factors: list, suspects) -> tuple[int, tuple]:
 
 
 def normalize_by_weighting(struct, power: int, word) -> CanonicalElement:
-    """Left normal form of D^power * word by weight_factors over every pair."""
-    factors = [f for f in word if f != struct.identity]
+    """
+    Left normal form of D^power * word by weight_factors over every pair;
+    the letters enter through as_simple, as in normalize.
+    """
+    factors = [f for f in map(struct.as_simple, word) if f != struct.identity]
     dp, out = weight_factors(struct, factors, range(len(factors) - 1))
     return CanonicalElement(struct, power + dp, out)
 
 
-def tau_pow(a: tuple, k: int) -> tuple:
+def tau_pow(a, k: int):
     """
     tau^k of a simple of B_n by its definition on permutation tables,
     tau(a)[i] = n-1-a[n-1-i], with no memo: the reference for the
-    structure's tau table.  tau is an involution, so k counts mod 2.
+    structure's tau table.  tau is an involution, so k counts mod 2.  The
+    result has the type of a.
     """
     m = len(a) - 1
     for _ in range(k % 2):
-        a = tuple(m - a[m - i] for i in range(m + 1))
+        a = type(a)(m - a[m - i] for i in range(m + 1))
     return a
 
 
@@ -268,8 +275,9 @@ def mul_by_weighting(x: CanonicalElement, y: CanonicalElement) -> CanonicalEleme
 
 def nontrivial_simples(st: BraidStructure):
     for tab in itertools.permutations(range(st.n)):
-        if tab != st.identity:
-            yield tab
+        h = st.as_simple(tab)
+        if h != st.identity:
+            yield h
 
 
 def proper_simples(st: BraidStructure):
@@ -580,3 +588,71 @@ def seed_trajectories_by_elements(x: CanonicalElement, kind: str) -> list:
             continue
         out.append((v, x.conj(v)))
     return out
+
+
+class TupleBraidStructure(GarsideStructure):
+    """
+    B_n with tuple handles, the differential twin of BraidStructure: each
+    method hands its arguments to the interned braid_structure(n) through
+    its as_simple and returns tuple() of the answer.  The steps are
+    GarsideStructure's defaults, with no memo.  A tuple sorts like the
+    bytes table it stands for, so every generic layer must give the same
+    members, member order and witnesses on both structures.
+    """
+
+    def __init__(self, n: int):
+        b = self.base = braid_structure(n)
+        self.n = n
+        self.identity = tuple(b.identity)
+        self.delta = tuple(b.delta)
+        self.atoms = tuple(tuple(a) for a in b.atoms)
+        self.order_of_tau = b.order_of_tau
+        self.delta_norm = b.delta_norm
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TupleBraidStructure) and other.n == self.n
+
+    def __hash__(self) -> int:
+        return hash(("tuple-braid", self.n))
+
+    def __repr__(self) -> str:
+        return f"TupleBraidStructure(n={self.n})"
+
+    def mul(self, a, b):
+        h = self.base.as_simple
+        return tuple(self.base.mul(h(a), h(b)))
+
+    def left_quotient(self, a, b):
+        h = self.base.as_simple
+        return tuple(self.base.left_quotient(h(a), h(b)))
+
+    def right_complement(self, a):
+        return tuple(self.base.right_complement(self.base.as_simple(a)))
+
+    def meet(self, a, b):
+        h = self.base.as_simple
+        return tuple(self.base.meet(h(a), h(b)))
+
+    def join(self, a, b):
+        h = self.base.as_simple
+        return tuple(self.base.join(h(a), h(b)))
+
+    def tau_pow(self, a, k: int):
+        return tuple(self.base.tau_pow(self.base.as_simple(a), k))
+
+    def norm(self, a) -> int:
+        return self.base.norm(self.base.as_simple(a))
+
+    def as_simple(self, a):
+        return tuple(self.base.as_simple(a))
+
+
+def to_twin(x: CanonicalElement) -> CanonicalElement:
+    """The element x of B_n as an element of TupleBraidStructure(n)."""
+    return CanonicalElement(TupleBraidStructure(x.struct.n), x.power, tuple(map(tuple, x.factors)))
+
+
+def from_twin(x: CanonicalElement) -> CanonicalElement:
+    """The element x of TupleBraidStructure(n) as an element of B_n."""
+    b = x.struct.base
+    return CanonicalElement(b, x.power, tuple(map(b.as_simple, x.factors)))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from garside.braid import (
     word_str,
 )
 from garside.core import GarsideStructure, delta_power, identity_element, normalize, simple_element
-from garside.summit import c_star, decide_conjugacy, ultra_summit_set
+from garside.summit import c_star, decide_conjugacy, super_summit_set, ultra_summit_set
 
 import oracles
 from conftest import random_element
@@ -34,7 +35,8 @@ from oracles import STEP_ORACLES, simple_divides, sweep_join, sweep_meet
 
 
 def all_simples(n):
-    return list(itertools.permutations(range(n)))
+    st = braid_structure(n)
+    return [st.as_simple(t) for t in itertools.permutations(range(n))]
 
 
 def brute_meet(st, a, b):
@@ -87,7 +89,7 @@ def lattice_arguments(draw):
     """A structure and two simples, weighted towards the memo's shortcuts."""
     n = draw(hs.integers(2, 40))
     st = braid_structure(n)
-    perm = hs.permutations(range(n)).map(tuple)
+    perm = hs.permutations(range(n)).map(tuple).map(st.as_simple)
     special = hs.sampled_from([st.identity, st.delta])
     a = draw(hs.one_of(special, perm))
     shape = draw(hs.sampled_from(["any", "equal", "divisor", "multiple"]))
@@ -129,7 +131,7 @@ def step_arguments(draw):
     """A fresh structure of B_2..B_12 and a (factor, argument) pair."""
     n = draw(hs.integers(2, 12))
     st = BraidStructure(n)  # not the interned structure: memos start empty
-    perm = hs.permutations(range(n)).map(tuple)
+    perm = hs.permutations(range(n)).map(tuple).map(st.as_simple)
     special = hs.sampled_from([st.identity, st.delta])
     x = draw(hs.one_of(special, perm))
     shape = draw(hs.sampled_from(["any", "equal", "divisor", "multiple", "complement"]))
@@ -364,7 +366,7 @@ def test_tau_table_map():
             a = random_simple(rng, n)
             via_group = delta_power(st, -1) * simple_element(st, a) * delta_power(st, 1)
             assert via_group == simple_element(st, st.tau_pow(a, 1))
-            assert st.tau_pow(a, 1) == tuple(n - 1 - a[n - 1 - i] for i in range(n))
+            assert tuple(st.tau_pow(a, 1)) == tuple(n - 1 - a[n - 1 - i] for i in range(n))
     # the table map against the table-free reference, on a miss and on a hit
     # of tau's memo
     for n in range(2, 9):
@@ -529,3 +531,45 @@ def test_random_simple_needs_two_strands():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "0"]
+
+
+def _assert_handle_types(st, rng, rounds):
+    # a handle of another type compares unequal to every handle of the
+    # structure, so a stray tuple(...) on a bytes path would pass silently
+    # as a wrong answer; every method must return the structure's one type
+    h = type(st.identity)
+    n = st.n
+    assert type(st.delta) is h and all(type(a) is h for a in st.atoms)
+    specials = [st.identity, st.delta, *st.atoms[:3]]
+    for _ in range(rounds):
+        a, b = (rng.choice(specials) if rng.random() < 0.3 else random_simple(rng, n) for _ in range(2))
+        assert type(a) is h and type(b) is h
+        c = st.meet(st.right_complement(a), b)  # a c is simple
+        outs = [
+            st.meet(a, b), st.join(a, b), st.mul(a, c), st.left_quotient(c, b),
+            st.inverse_table(a), st.right_complement(a), st.tau_pow(a, 1), st.tau_pow(a, 2),
+            st.a_step(a, b), st.v_step(a, b), st.w_step(a, b), *st.slide(a, b),
+            st.as_simple(tuple(a)), st.as_simple(a),
+        ]
+        assert all(type(o) is h for o in outs), [type(o) for o in outs]
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 300])
+def test_every_method_returns_the_structures_handle_type(n):
+    st = BraidStructure(n)  # not the interned structure: every table starts empty
+    assert type(st.identity) is (bytes if n <= 256 else tuple)
+    _assert_handle_types(st, random.Random(n), 200 if n <= 12 else 20)
+
+
+def test_large_structure_round_trip_is_fast():
+    # above 256 strands the tables are tuples: a parse, a word, a product,
+    # an inverse and a super summit set in B_300 take well under a second
+    start = time.perf_counter()
+    st = braid_structure(300)
+    x = parse_word("1 2 150 299 2 1 7", 300)
+    assert all(type(f) is tuple for f in x.factors)
+    assert parse_word(word_str(x), 300) == x
+    assert x * x.inv() == identity_element(st)
+    sss = super_summit_set(delta_power(st, 1))  # closes over all 299 atoms
+    assert sss.members == (delta_power(st, 1),) and sss.verify_witnesses()
+    assert time.perf_counter() - start < 1.0

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
+from garside import braid
 from garside.braid import braid_structure, parse_word
 from garside.cli import bench
-from garside.cli.main import main
+from garside.cli.main import MAX_STRANDS, main
 from garside.core import identity_element
 from garside.rigid import is_rigid
 
@@ -149,6 +150,20 @@ def test_input_error_exit_code():
         r = run_cli(*bad)
         assert r.returncode == 2, bad
         assert "error" in r.stderr
+
+
+def test_strand_count_above_the_maximum_is_an_input_error(capsys):
+    # `nf --n 100000 "1"` used to exhaust memory; the bound is checked while
+    # the arguments are parsed, before any structure is built
+    assert run_cli("nf", "--n", str(MAX_STRANDS), "1").returncode == 0
+    for n in (MAX_STRANDS + 1, 100000):
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "--n", str(n), "1"])
+        assert exc.value.code == 2
+        assert f"at most {MAX_STRANDS} strands" in capsys.readouterr().err
+        assert n not in braid._STRUCTURES
+    r = run_cli("summit", "--n", "100000", "1 1")
+    assert r.returncode == 2 and f"at most {MAX_STRANDS} strands" in r.stderr
 
 
 def test_budget_exit_code():

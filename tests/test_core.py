@@ -38,10 +38,14 @@ def test_normalize_rejects_what_is_not_a_simple():
     st = s3()
     for bad in [(0, 0, 1), (1, 0), (3, 1, 0), [1, 0, 2], (0, 1, 2.0), (0, [1], 2), (0, 1, 2, 2),
                 "012", None]:
-        assert not st.is_simple(bad)
+        with pytest.raises(ValueError):
+            st.as_simple(bad)
         with pytest.raises(ValueError):
             normalize(st, 0, [st.atoms[0], bad])
-    assert all(st.is_simple(a) for a in itertools.permutations(range(3)))
+    for a in itertools.permutations(range(3)):
+        h = st.as_simple(a)
+        assert type(h) is type(st.identity) and tuple(h) == a
+        assert st.as_simple(bytes(a)) == h and st.as_simple(h) is h
 
 
 def test_normalize_empty():
@@ -315,7 +319,7 @@ def _divides_pairs(st, powers, simples, word1, word2):
     either side.
     """
     p, r, k = powers
-    s, t, c, d = simples
+    s, t, c, d = (st.as_simple(f) for f in simples)
     a = simple_element(st, s, p)
     b = simple_element(st, t, r)
     # s times a simple below rc(s), and a prefix of t: still simples

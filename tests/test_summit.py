@@ -15,7 +15,7 @@ from garside.braid import braid_structure, parse_word, random_simple
 from garside.cli.generators import gen_test1, gen_test3
 from garside.core import delta_power, identity_element, normalize, simple_element
 from garside.cycling import cstar_representative, trajectory
-from garside.rigid import c_star_star_rigid, is_rigid, stable_exponents
+from garside.rigid import c_star_star_rigid, is_rigid, rigid_power, stable_exponents
 from garside.summit import (
     BudgetExceeded,
     c_star,
@@ -30,8 +30,10 @@ from conftest import random_element, random_rigid_element
 from oracles import (
     conjugation_components,
     cstar_summit_bounds,
+    from_twin,
     simple_divides,
     summit_members_exhaustive,
+    to_twin,
 )
 
 
@@ -114,11 +116,16 @@ ULTRA_B20_FACTORS = (
 )
 
 
+def _tables(x):
+    """The factors of x as tuples of ints, whatever the structure's handles."""
+    return tuple(map(tuple, x.factors))
+
+
 def test_ultra_set_keeps_every_seed_atom_member():
     from garside.cycling import closed_orbit, cyc_q
 
     x = normalize(braid_structure(20), 1, ULTRA_B20_FACTORS)
-    assert (x.inf, x.clen, x.factors) == (1, 5, ULTRA_B20_FACTORS)
+    assert (x.inf, x.clen, _tables(x)) == (1, 5, ULTRA_B20_FACTORS)
     uss = ultra_summit_set(x)
     assert len(uss) == 20
     assert uss.verify_witnesses()
@@ -252,13 +259,44 @@ def test_witnesses_are_pinned():
             ss = summit_set(x, kind)
             for m in ss.members:
                 w = ss.witnesses[m]
-                h.update(repr((kind, m.power, m.factors, w.power, w.factors)).encode())
+                h.update(repr((kind, m.power, _tables(m), w.power, _tables(w))).encode())
                 pairs += 1
         w = normalize(x.struct, rng.randint(-1, 1), [random_simple(rng, n) for _ in range(rng.randint(1, 3))])
         ans = decide_conjugacy(x, x.conj(w))
-        h.update(repr((ans.witness.power, ans.witness.factors)).encode())
+        h.update(repr((ans.witness.power, _tables(ans.witness))).encode())
     assert pairs == 2928
     assert h.hexdigest()[:16] == "2b79e963e2955074"
+
+
+def _decoded(x):
+    return None if x is None else from_twin(x)
+
+
+def test_tuple_twin_gives_the_same_answers():
+    # the generic layers on B_n with tuple handles (oracles.TupleBraidStructure)
+    # against B_n itself: summit sets with their member order and witnesses,
+    # decide_conjugacy on a conjugate and on a perturbed pair, and
+    # rigid_power, on test-1 and test-3 braids of B_3 - B_7
+    rng = random.Random(20261022)
+    rigid = 0
+    for n in range(3, 8):
+        for x in (gen_test1(n, 3, rng), gen_test3(n, 3, rng), gen_test3(n, 4, rng)):
+            t = to_twin(x)
+            assert from_twin(t) == x
+            for kind in ("super", "ultra", "star") if n <= 5 else ("ultra", "star"):
+                ss, ts = summit_set(x, kind), summit_set(t, kind)
+                assert [from_twin(m) for m in ts.members] == list(ss.members), (n, kind)
+                for m in ts.members:
+                    assert from_twin(ts.witnesses[m]) == ss.witnesses[from_twin(m)], (n, kind)
+            w = normalize(x.struct, rng.randint(-1, 1), [random_simple(rng, n) for _ in range(2)])
+            for y in (x.conj(w), x * parse_word("1 -2", n)):
+                a, b = decide_conjugacy(x, y), decide_conjugacy(t, to_twin(y))
+                assert (a.conjugate, a.witness) == (b.conjugate, _decoded(b.witness)), n
+            r, s = rigid_power(x), rigid_power(t)
+            assert (r.is_rigid, r.exponents, r.power, r.rigid_conjugate, r.witness) == (
+                s.is_rigid, s.exponents, s.power, _decoded(s.rigid_conjugate), _decoded(s.witness))
+            rigid += r.is_rigid
+    assert rigid >= 5
 
 
 def test_super_ultra_have_flat_member_sets(rng):

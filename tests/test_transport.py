@@ -185,7 +185,7 @@ def test_push_injective_on_same_conjugate(rng):
     # x^u = x^v and phi(u) = phi(v) force u = v: exhaustive over small ranges
     st = braid_structure(3)
     x = parse_word("1 1", 3)
-    simples = list(itertools.permutations(range(3)))
+    simples = [st.as_simple(t) for t in itertools.permutations(range(3))]
     for q in range(x.inf, x.sup + 1):
         ctx = TransportContext(x, q)
         seen = {}
@@ -366,7 +366,7 @@ def test_mu_minimality_exhaustive(rng):
         assert all(in_recurrence_set(z, q) for q in range(z.inf, z.sup + 1))
         for m in (0, 1):
             for tab in itertools.permutations(range(n)):
-                cand = simple_element(st, tab, m)
+                cand = simple_element(st, st.as_simple(tab), m)
                 if not u.divides(cand) or v.divides(cand):
                     continue
                 zz = x.conj(cand)
@@ -567,7 +567,7 @@ def test_transport_sweep_divides_short_elements(rng, monkeypatch):
     # the sweep stops at its first dominating iterate, so it may see no
     # pair that fails the test: compare every pair of B_4 as well
     st = braid_structure(4)
-    pairs = [as_pair(simple_element(st, t, m))
+    pairs = [as_pair(simple_element(st, st.as_simple(t), m))
              for m in (-1, 0, 1) for t in itertools.permutations(range(4))]
     for a in pairs:
         for b in pairs:
